@@ -58,7 +58,7 @@ Options Options::parse(int argc, char** argv) {
                 usage_error(argv[0], "--core expects reference, event-horizon "
                                      "or regional, got " + value);
             // The process-wide env override is the one switch every
-            // simulation (and every forked shard worker) already honors;
+            // simulation (and every spawned fleet worker) already honors;
             // the CLI just sets it before the first Simulator is built.
             setenv("FLORETSIM_SIM_CORE", value.c_str(), 1);
             opt.core = value;

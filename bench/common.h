@@ -15,7 +15,7 @@
 ///   --core NAME     select the simulator core (reference | event-horizon |
 ///                   regional) for every simulation of the run; implemented
 ///                   by setting FLORETSIM_SIM_CORE before first use, so it
-///                   also reaches forked shard workers
+///                   also reaches spawned fleet workers
 ///   --trace-out F   enable span tracing, write Chrome trace-event JSON to F
 ///   --metrics-out F enable the metrics registry, write its snapshot to F
 ///

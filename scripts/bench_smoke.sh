@@ -138,8 +138,9 @@ fi
 #      are stripped — observability can describe a run, never change it.
 #   2. --trace-out writes valid Chrome trace JSON with events; the
 #      --metrics-out snapshot carries the instrumented counters.
-#   3. A sharded run streams live per-shard heartbeat lines to stderr and
-#      merges every worker's trace into the coordinator's file.
+#   3. A --pool run streams live per-worker heartbeat lines and a [fleet]
+#      summary to stderr and merges every worker's trace into the
+#      coordinator's file.
 #   4. Unwritable output paths exit nonzero (driver and bench binaries).
 obs_args=(--only fig3 --set traffic_scale=1/128 --threads 2)
 obs_ok=1
@@ -149,14 +150,14 @@ obs_ok=1
     --trace-out "$out_dir/obs.trace.json" \
     --metrics-out "$out_dir/obs.metrics.json" \
     > "$out_dir/obs_on.log" 2>&1 || obs_ok=0
-"$driver" "${obs_args[@]}" --shards 2 --json "$out_dir/obs_shard.json" \
-    --trace-out "$out_dir/obs_shard.trace.json" \
-    > "$out_dir/obs_shard.log" 2> "$out_dir/obs_shard.err" || obs_ok=0
+"$driver" "${obs_args[@]}" --pool 2 --json "$out_dir/obs_pool.json" \
+    --trace-out "$out_dir/obs_pool.trace.json" \
+    > "$out_dir/obs_pool.log" 2> "$out_dir/obs_pool.err" || obs_ok=0
 if [ "$obs_ok" = 1 ] && python3 - "$out_dir" <<'EOF'
 import json, sys
 out = sys.argv[1]
 
-VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads", "shards")
+VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads")
 def strip(o):
     if isinstance(o, dict):
         return {k: strip(v) for k, v in o.items()
@@ -167,11 +168,11 @@ def strip(o):
 
 off = json.load(open(f"{out}/obs_off.json"))
 on = json.load(open(f"{out}/obs_on.json"))
-shard = json.load(open(f"{out}/obs_shard.json"))
+pool = json.load(open(f"{out}/obs_pool.json"))
 assert strip(off["scenarios"]) == strip(on["scenarios"]), (
     "report changed with tracing/metrics enabled")
-assert strip(off["scenarios"]) == strip(shard["scenarios"]), (
-    "report changed under --shards with tracing enabled")
+assert strip(off["scenarios"]) == strip(pool["scenarios"]), (
+    "report changed under --pool with tracing enabled")
 
 trace = json.load(open(f"{out}/obs.trace.json"))
 assert trace["traceEvents"], "trace has no events"
@@ -181,7 +182,7 @@ names = {e.get("name") for e in trace["traceEvents"]}
 assert {"sweep_point", "evaluate_noi", "fig3"} <= names, (
     f"expected spans missing: {sorted(names)}")
 
-merged = json.load(open(f"{out}/obs_shard.trace.json"))
+merged = json.load(open(f"{out}/obs_pool.trace.json"))
 pids = {e.get("pid") for e in merged["traceEvents"]}
 assert len(pids) >= 3, (
     f"merged trace should span coordinator + 2 workers, got pids {pids}")
@@ -190,10 +191,10 @@ metrics = json.load(open(f"{out}/obs.metrics.json"))
 assert metrics["counters"].get("sweep.points", 0) > 0, "no sweep.points"
 assert "sim.run_cycles" in metrics["histograms"], "no sim.run_cycles histogram"
 
-hb_lines = [l for l in open(f"{out}/obs_shard.err") if l.startswith("[shard ")]
-assert hb_lines, "no live per-shard heartbeat lines on coordinator stderr"
-assert any(l.startswith("[shards]") for l in open(f"{out}/obs_shard.err")), (
-    "no end-of-sweep straggler summary")
+hb_lines = [l for l in open(f"{out}/obs_pool.err") if l.startswith("[fleet ")]
+assert hb_lines, "no live per-worker heartbeat lines on coordinator stderr"
+assert any(l.startswith("[fleet] 2 workers")
+           for l in open(f"{out}/obs_pool.err")), "no [fleet] summary line"
 print(f"obs smoke ok: parity held, {len(trace['traceEvents'])} trace events, "
       f"{len(pids)} processes merged, {len(hb_lines)} heartbeat lines")
 EOF
@@ -203,7 +204,7 @@ then
 else
     echo "FAIL observability smoke" >&2
     tail -5 "$out_dir/obs_off.log" "$out_dir/obs_on.log" \
-        "$out_dir/obs_shard.err" >&2
+        "$out_dir/obs_pool.err" >&2
     fail=1
 fi
 

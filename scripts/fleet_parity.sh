@@ -1,14 +1,22 @@
 #!/usr/bin/env bash
-# Persistent-fleet differential (run by ctest as `fleet_parity`, and by
-# CI on both simulator cores via FLORETSIM_SIM_CORE):
+# Multi-process differential (run by ctest as `fleet_parity`, and by CI
+# on all three simulator cores):
 #
-#   the full registry's merged report must be bit-identical whether the
-#   sweeps run in 1 process, across --shards 4 (PR 5 one-shot workers),
-#   or on a --pool 4 persistent fleet — and it must STAY bit-identical
-#   when one fleet worker is SIGKILLed mid-run (the coordinator restarts
-#   it and reassigns its un-acked lease). Only wall-clock-derived
-#   metrics (point timings, cache counters, thread/shard counts) may
-#   differ; every table cell and derived metric must match byte for byte.
+#   every registered scenario's merged report must be bit-identical
+#   whether the sweeps run in 1 process, on a --pool 2 persistent fleet
+#   with --threads 3 inside each worker, or on a --pool 4 fleet — and it
+#   must STAY bit-identical when one fleet worker is SIGKILLed mid-run
+#   (the coordinator restarts it and reassigns its un-acked lease). The
+#   differing thread counts also pin determinism across --threads inside
+#   each worker. Only wall-clock-derived metrics (point timings, cache
+#   counters, thread counts) may differ; every table cell and derived
+#   metric must match byte for byte.
+#
+# Sizes are CI-small (8x8 grid, 1/128 traffic, 16 serving requests,
+# 40 annealing iterations for the 3D MOO studies) but the full registry
+# runs, so the fleet is exercised against spec-driven sweeps
+# (fig3/fig5/table2/ablation_scaling: distributed) AND map()-driven
+# scenarios (fig4/serving/fig6: coordinator-local) in the same document.
 #
 # A second, smaller pass pins the whole point of a *persistent* fleet:
 # two scenarios sharing an arch grid, run on a warm pool with stealing
@@ -28,6 +36,20 @@ shift
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 
+# The fleet is the only multi-process executor: the removed one-shot
+# coordinator and worker flags must be rejected with the usage text.
+for removed in "--shards 2" "--worker --points f"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "$driver" $removed > /dev/null 2> "$out_dir/removed.err" || rc=$?
+    if [ "$rc" != 2 ] || ! grep -q -- "--pool N" "$out_dir/removed.err"; then
+        echo "floretsim_run $removed: expected exit 2 with the usage line," \
+             "got exit $rc:" >&2
+        cat "$out_dir/removed.err" >&2
+        exit 1
+    fi
+done
+
 common="--set grid=8x8 --set traffic_scale=1/128 \
         --set max_requests=16 --set replications=1 --set iterations=40"
 
@@ -35,13 +57,13 @@ common="--set grid=8x8 --set traffic_scale=1/128 \
 "$driver" $common --threads 2            "$@" --json "$out_dir/p1.json" \
     > "$out_dir/p1.log"
 # shellcheck disable=SC2086
-"$driver" $common --threads 1 --shards 4 "$@" --json "$out_dir/s4.json" \
-    > "$out_dir/s4.log"
+"$driver" $common --threads 3 --pool 2   "$@" --json "$out_dir/f2.json" \
+    > "$out_dir/f2.log" 2> "$out_dir/f2.err"
 # shellcheck disable=SC2086
 "$driver" $common --threads 1 --pool 4   "$@" --json "$out_dir/f4.json" \
     > "$out_dir/f4.log" 2> "$out_dir/f4.err"
-# Same fleet run, but worker 1's first incarnation SIGKILLs itself after
-# its 3rd row: the report must not change at all.
+# Same fleet run, but worker 1's first incarnation SIGKILLs itself just
+# before writing its 3rd row: the report must not change at all.
 # shellcheck disable=SC2086
 FLORETSIM_FLEET_KILL="1:0:3" \
     "$driver" $common --threads 1 --pool 4 "$@" --json "$out_dir/f4k.json" \
@@ -56,17 +78,17 @@ FLORETSIM_FLEET_STEAL_AFTER=1000000000 \
     --threads 1 --pool 2 "$@" --json "$out_dir/warm.json" \
     > "$out_dir/warm.log" 2> "$out_dir/warm.err"
 
-python3 - "$out_dir/p1.json" "$out_dir/s4.json" "$out_dir/f4.json" \
+python3 - "$out_dir/p1.json" "$out_dir/f2.json" "$out_dir/f4.json" \
     "$out_dir/f4k.json" "$out_dir/warm.json" <<'EOF'
 import json, sys
 
-p1_path, s4_path, f4_path, f4k_path, warm_path = sys.argv[1:6]
+p1_path, f2_path, f4_path, f4k_path, warm_path = sys.argv[1:6]
 docs = {path: json.load(open(path)) for path in sys.argv[1:5]}
 
 # Volatile-by-construction keys: wall-clock timings, the load-imbalance
 # ratio derived from them, cache counters (distributed sweeps run on
-# worker caches, not the coordinator's), and the topology knobs.
-VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads", "shards")
+# worker caches, not the coordinator's), and the thread counts.
+VOLATILE = ("seconds", "wall", "imbalance", "cache", "threads")
 
 def strip(x):
     if isinstance(x, dict):
@@ -92,18 +114,31 @@ for path, doc in docs.items():
             f"  got:  {json.dumps(got[name])[:400]}")
 
 # The fleet runs really ran on the fleet.
-for path in (f4_path, f4k_path):
+assert docs[p1_path]["driver"]["run_info"]["executor"] == "in-process"
+for path, workers in ((f2_path, 2), (f4_path, 4), (f4k_path, 4)):
     doc = docs[path]
     assert doc["driver"]["run_info"]["executor"] == "fleet", path
     fleet = doc["driver"]["fleet"]
-    assert fleet["workers"] == 4, fleet
+    assert fleet["workers"] == workers, fleet
     assert fleet["rows"] > 0, f"{path}: fleet acked no rows"
     assert fleet["points"] == fleet["rows"], fleet
 
-# Clean fleet run: nobody died, nothing was reassigned.
-clean = docs[f4_path]["driver"]["fleet"]
-assert clean["worker_deaths"] == 0, clean
-assert clean["worker_restarts"] == 0, clean
+# During fig3's sweep a fleet coordinator never touches its own fabric
+# cache (rows arrive from the worker processes), while the 1-process run
+# resolves every point against it. (fig2 runs first and warms the shared
+# cache, so the 1-process signal is hits, not misses.)
+f2 = docs[f2_path]["scenarios"]["fig3"]["metrics"]
+assert f2["fabric_cache_hits"] + f2["fabric_cache_misses"] == 0, (
+    "fleet fig3 touched the coordinator fabric cache — executor not "
+    "installed?")
+p1 = docs[p1_path]["scenarios"]["fig3"]["metrics"]
+assert p1["fabric_cache_hits"] + p1["fabric_cache_misses"] > 0
+
+# Clean fleet runs: nobody died, nothing was reassigned.
+for path in (f2_path, f4_path):
+    clean = docs[path]["driver"]["fleet"]
+    assert clean["worker_deaths"] == 0, clean
+    assert clean["worker_restarts"] == 0, clean
 
 # Kill run: the injected death happened AND was recovered from.
 killed = docs[f4k_path]["driver"]["fleet"]
@@ -124,6 +159,6 @@ assert per["fig5"]["fabric_hits"] > 0, json.dumps(per)
 
 names = ", ".join(sorted(base))
 print(f"fleet parity ok: {names} bit-identical across 1 process, "
-      "--shards 4, --pool 4, and --pool 4 with an injected worker kill; "
-      "warm pool re-ran fig5 with zero fabric misses")
+      "--pool 2 --threads 3, --pool 4, and --pool 4 with an injected "
+      "worker kill; warm pool re-ran fig5 with zero fabric misses")
 EOF

@@ -438,8 +438,8 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         frame = coordinator_bound_from_line(line);
     } catch (const std::exception& e) {
         // A persistent worker emitting garbage on the row channel is a
-        // protocol violation — unlike the one-shot shard path, tolerating
-        // it would desynchronize every later sweep. Kill and restart.
+        // protocol violation — tolerating it would desynchronize every
+        // later sweep. Kill and restart.
         if (opt_.progress)
             *opt_.progress << "[fleet] worker " << w
                            << " protocol violation: " << e.what() << "\n"
@@ -491,9 +491,9 @@ void Coordinator::handle_stdout_line(std::size_t w, std::string_view line,
         ++run.n_acked;
         ++stats_.rows;
         obs::MetricsRegistry::global().add("fleet.rows");
-        // Re-serialize as the canonical shard row line: the merge layer
-        // (MergedRowFileStream) then treats fleet output exactly like a
-        // shard worker file — one row per point, any order.
+        // Re-serialize as the canonical {"index","row"} line: the merge
+        // layer (MergedRowFileStream) then reads the sweep's row file
+        // back in point order — one row per point, any order.
         run.rows_out << scenario::worker_row_line(i, frame.row->row) << "\n";
         for (auto& other : workers_) other.outstanding.erase(i);
         return;

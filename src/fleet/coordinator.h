@@ -19,9 +19,9 @@ namespace floretsim::fleet {
 struct FleetOptions {
     /// Worker executable (normally scenario::self_exe_path(argv[0])).
     std::string worker_exe;
-    /// Arguments after argv[0], e.g. {"--worker", "--serve", "--threads",
-    /// "1"}. The coordinator appends per-worker --trace-out/--metrics-out
-    /// when the process obs sinks are enabled.
+    /// Arguments after argv[0], e.g. {"--worker", "--threads", "1"}. The
+    /// coordinator appends per-worker --trace-out/--metrics-out when the
+    /// process obs sinks are enabled.
     std::vector<std::string> worker_args;
     std::int32_t n_workers = 2;
     /// Live progress + death diagnostics stream (null = silent).
@@ -67,16 +67,16 @@ struct FleetStats {
 };
 
 /// The persistent-fleet coordinator: spawns opt.n_workers long-lived
-/// `--worker --serve` processes once (lazily, on the first sweep) and
-/// dispatches every subsequent sweep to them over the fleet protocol.
-/// Replaces PR 5's static shard slices with small leases handed out as
-/// workers drain them, steals outstanding leases from stragglers, and
-/// survives worker deaths by restarting the process and reassigning its
-/// un-acked points (bounded per-point retry). Workers keep their
-/// ArchCache across sweeps, and the coordinator keeps per-worker fabric
-/// *affinity* — a lease prefers points whose fabric its worker has
-/// already built — so the second scenario over the same arch grid
-/// evaluates with zero fabric-cache misses anywhere in the fleet.
+/// `--worker` processes once (lazily, on the first sweep) and dispatches
+/// every subsequent sweep to them over the fleet protocol. Hands out
+/// small leases as workers drain them, steals outstanding leases from
+/// stragglers, and survives worker deaths by restarting the process and
+/// reassigning its un-acked points (bounded per-point retry). Workers
+/// keep their ArchCache across sweeps, and the coordinator keeps
+/// per-worker fabric *affinity* — a lease prefers points whose fabric
+/// its worker has already built — so the second scenario over the same
+/// arch grid evaluates with zero fabric-cache misses anywhere in the
+/// fleet.
 ///
 /// Rows are re-serialized (first ack per index wins; stale and duplicate
 /// rows from stolen leases are dropped and counted) into one NDJSON file

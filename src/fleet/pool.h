@@ -14,8 +14,8 @@ namespace floretsim::fleet {
 struct PoolOptions {
     /// Executable to spawn (normally scenario::self_exe_path(argv[0])).
     std::string exe;
-    /// Arguments common to every worker (e.g. {"--worker", "--serve",
-    /// "--threads", "1"}). argv[0] is always `exe`.
+    /// Arguments common to every worker (e.g. {"--worker", "--threads",
+    /// "1"}). argv[0] is always `exe`.
     std::vector<std::string> args;
     /// Extra per-worker arguments (size n_workers or empty) — the seam
     /// for per-worker --trace-out/--metrics-out paths.

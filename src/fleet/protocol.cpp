@@ -245,7 +245,7 @@ CoordinatorBound coordinator_bound_from_line(std::string_view line) {
         f.what = need(*v4, "what", "perr").as_string();
         out.perr = std::move(f);
     } else if (j.find("hb")) {
-        // Delegate to the PR 7 heartbeat parser for its strict field
+        // Delegate to the shared heartbeat parser for its strict field
         // validation; it accepts exactly the {"hb": {...}} envelope.
         const scenario::StreamLine line_parsed = scenario::stream_line_from(
             util::json_serialize_compact(j));
@@ -418,6 +418,11 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                     r.row = core::evaluate_point(engine.cache(), points[index]);
                     const std::lock_guard<std::mutex> lock(out_mu);
                     ++rows_lifetime;
+                    if (fault_matches(kill_spec, *init) &&
+                        rows_lifetime == kill_spec.after_rows) {
+                        out << std::flush;
+                        (void)raise(SIGKILL);
+                    }
                     if (fault_matches(stall_spec, *init) &&
                         rows_lifetime == stall_spec.after_rows)
                         std::this_thread::sleep_for(
@@ -426,11 +431,6 @@ int serve_worker(std::istream& in, std::ostream& out, std::ostream& err,
                     ++done_this_sweep;
                     emit_hb();
                     out << std::flush;
-                    if (fault_matches(kill_spec, *init) &&
-                        rows_lifetime == kill_spec.after_rows) {
-                        out << std::flush;
-                        (void)raise(SIGKILL);
-                    }
                 } catch (const std::exception& e) {
                     PointErrorFrame perr;
                     perr.sweep = sweep_id;

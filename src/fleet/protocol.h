@@ -13,12 +13,12 @@
 
 namespace floretsim::fleet {
 
-/// The fleet wire protocol: the PR 5 points-file/NDJSON worker contract
-/// extended with a small framed request/response layer for *persistent*
-/// workers. One `floretsim_run --worker --serve` process handles many
-/// sweeps over its lifetime, keeping its ArchCache warm across them —
-/// the coordinator streams lease frames down the worker's stdin and reads
-/// rows, heartbeats, and acks back from its stdout.
+/// The fleet wire protocol: the points-file/NDJSON row contract of
+/// src/scenario/shard.h extended with a small framed request/response
+/// layer for *persistent* workers. One `floretsim_run --worker` process
+/// handles many sweeps over its lifetime, keeping its ArchCache warm
+/// across them — the coordinator streams lease frames down the worker's
+/// stdin and reads rows, heartbeats, and acks back from its stdout.
 ///
 /// Every frame is one compact JSON object per line (NDJSON), dispatched
 /// on its single distinguishing top-level key. Parsing is strict in both
@@ -36,7 +36,7 @@ namespace floretsim::fleet {
 ///   {"ready":  {"worker": i, "gen": g, "pid": p}}
 ///   {"loaded": {"sweep": S, "n_points": n}}
 ///   {"sweep": S, "index": i, "row": {..}}          (one per finished point)
-///   {"hb":     {..}}                               (PR 7 heartbeat, reused)
+///   {"hb":     {..}}                               (scenario::Heartbeat)
 ///   {"done":   {"lease": L, "fabric_hits": H, "fabric_misses": M}}
 ///   {"perr":   {"sweep": S, "index": i, "what": ".."}}
 ///
@@ -70,9 +70,8 @@ struct SweepFrame {
 };
 
 /// A small batch of global point indices to evaluate from the current
-/// sweep. Leases replace PR 5's static shard slices: the coordinator
-/// hands them out incrementally, so a straggler holds a few points, not
-/// 1/N of the sweep.
+/// sweep. The coordinator hands leases out incrementally, so a straggler
+/// holds a few points, not 1/N of the sweep.
 struct LeaseFrame {
     std::int64_t id = 0;
     std::int64_t sweep = 0;
@@ -167,7 +166,7 @@ struct CoordinatorBound {
 [[nodiscard]] std::string perr_line(const PointErrorFrame& f);
 [[nodiscard]] std::string fleet_row_line(const FleetRow& r);
 
-/// Parses one worker->coordinator line. Heartbeats reuse the PR 7
+/// Parses one worker->coordinator line. Heartbeats reuse the
 /// {"hb": {...}} envelope verbatim (shard = worker index, n_shards =
 /// pool size). Throws std::invalid_argument on anything malformed.
 [[nodiscard]] CoordinatorBound coordinator_bound_from_line(
@@ -187,8 +186,11 @@ struct CoordinatorBound {
 /// Fault injection for the fleet tests, read from the environment at
 /// init time (production runs never set these):
 ///   FLORETSIM_FLEET_KILL="w:g:k"      raise(SIGKILL) when worker w at
-///                                     gen g (g = -1 matches any gen) has
-///                                     emitted k rows over its lifetime;
+///                                     gen g (g = -1 matches any gen) is
+///                                     about to emit its k-th row over its
+///                                     lifetime — before writing it, so
+///                                     the dying worker always holds an
+///                                     un-acked point;
 ///   FLORETSIM_FLEET_STALL="w:g:k:ms"  sleep ms before emitting row k —
 ///                                     a deterministic straggler;
 ///   FLORETSIM_FLEET_PERR="w:g:k"      throw (-> perr frame) instead of

@@ -1,27 +1,17 @@
 #include "src/scenario/shard.h"
 
-#include <poll.h>
 #include <signal.h>
 #include <string.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <charconv>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
-#include <thread>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -29,72 +19,8 @@
 #include "src/util/json.h"
 
 namespace floretsim::scenario {
-namespace {
 
-/// Self-deleting scratch directory for the coordinator's points file.
-struct TempDir {
-    std::string path;
-
-    TempDir() {
-        std::string templ =
-            (std::filesystem::temp_directory_path() / "floretsim-shard-XXXXXX")
-                .string();
-        if (!mkdtemp(templ.data()))
-            throw std::runtime_error("shard: mkdtemp failed for " + templ);
-        path = templ;
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-    TempDir(const TempDir&) = delete;
-    TempDir& operator=(const TempDir&) = delete;
-};
-
-/// POSIX-shell single-quoting for the popen command line.
-std::string shell_quote(const std::string& s) {
-    std::string out = "'";
-    for (const char c : s) {
-        if (c == '\'')
-            out += "'\\''";
-        else
-            out += c;
-    }
-    out += '\'';
-    return out;
-}
-
-std::int32_t parse_int32(std::string_view text, const char* what) {
-    std::int32_t v = 0;
-    const auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc() || p != text.data() + text.size())
-        throw std::invalid_argument(std::string(what) + " \"" +
-                                    std::string(text) + "\" is not an integer");
-    return v;
-}
-
-/// Last `n` lines of a (possibly large) text blob — the slice of a dead
-/// worker's stderr worth putting in an exception message.
-std::string tail_lines(std::string_view text, std::size_t n) {
-    while (!text.empty() && (text.back() == '\n' || text.back() == '\r'))
-        text.remove_suffix(1);
-    if (text.empty()) return {};
-    std::size_t pos = text.size();
-    for (std::size_t lines = 0; pos > 0; --pos) {
-        if (text[pos - 1] == '\n' && ++lines == n) break;
-    }
-    return std::string(text.substr(pos));
-}
-
-std::string read_file_or_empty(const std::string& path) {
-    std::ifstream f(path);
-    if (!f) return {};
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return ss.str();
-}
-
-}  // namespace
+// ---- Process-coordination helpers ------------------------------------------
 
 void ensure_sigpipe_ignored() {
     static const bool installed = [] {
@@ -165,35 +91,11 @@ void absorb_worker_obs(const std::string& trace_path,
     }
 }
 
-// ---- Shard planning ---------------------------------------------------------
-
-std::vector<std::size_t> shard_indices(std::size_t n_points, std::int32_t shard,
-                                       std::int32_t n_shards) {
-    if (n_shards < 1)
-        throw std::invalid_argument("shard count must be >= 1, got " +
-                                    std::to_string(n_shards));
-    if (shard < 0 || shard >= n_shards)
-        throw std::invalid_argument("shard index " + std::to_string(shard) +
-                                    " out of range for " +
-                                    std::to_string(n_shards) + " shards");
-    std::vector<std::size_t> indices;
-    for (std::size_t i = static_cast<std::size_t>(shard); i < n_points;
-         i += static_cast<std::size_t>(n_shards))
-        indices.push_back(i);
-    return indices;
-}
-
-std::pair<std::int32_t, std::int32_t> parse_shard_arg(const std::string& s) {
-    const std::size_t slash = s.find('/');
-    if (slash == std::string::npos || slash == 0 || slash + 1 >= s.size())
-        throw std::invalid_argument("--shard expects i/N (0-based), got \"" + s +
-                                    "\"");
-    const std::int32_t shard =
-        parse_int32(std::string_view(s).substr(0, slash), "shard index");
-    const std::int32_t n_shards =
-        parse_int32(std::string_view(s).substr(slash + 1), "shard count");
-    (void)shard_indices(0, shard, n_shards);  // range-check i/N
-    return {shard, n_shards};
+std::string self_exe_path(const char* argv0) {
+    std::error_code ec;
+    const auto exe = std::filesystem::read_symlink("/proc/self/exe", ec);
+    if (!ec && !exe.empty()) return exe.string();
+    return argv0 ? argv0 : "floretsim_run";
 }
 
 std::int32_t clamp_worker_threads(std::int32_t requested, std::size_t n_points,
@@ -347,70 +249,6 @@ StreamLine stream_line_from(std::string_view line) {
     return out;
 }
 
-std::size_t run_worker_points(core::SweepEngine& engine,
-                              const std::vector<core::SweepPoint>& points,
-                              const std::vector<std::size_t>& indices,
-                              std::ostream& rows_out, std::ostream& err,
-                              const HeartbeatSink& hb) {
-    for (const std::size_t i : indices)
-        if (i >= points.size())
-            throw std::invalid_argument("worker: shard index " +
-                                        std::to_string(i) + " out of range for " +
-                                        std::to_string(points.size()) + " points");
-    struct Failure {
-        std::size_t index;
-        std::string what;
-    };
-    std::mutex mu;
-    std::vector<Failure> failures;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t done = 0;
-    // Caller holds mu (or is still single-threaded, before engine.map).
-    const auto emit_hb = [&](std::uint64_t done_now) {
-        if (!hb.out) return;
-        Heartbeat h;
-        h.shard = hb.shard;
-        h.n_shards = hb.n_shards;
-        h.done = done_now;
-        h.total = indices.size();
-        h.seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        *hb.out << heartbeat_line(h) << '\n' << std::flush;
-    };
-    emit_hb(0);
-    (void)engine.map(indices.size(), [&](std::size_t k) -> int {
-        const std::size_t global = indices[k];
-        try {
-            const core::SweepRow row =
-                core::evaluate_point(engine.cache(), points[global]);
-            const std::string line = worker_row_line(global, row);
-            const std::lock_guard<std::mutex> lock(mu);
-            rows_out << line << '\n' << std::flush;
-            emit_hb(++done);
-        } catch (const std::exception& e) {
-            const std::lock_guard<std::mutex> lock(mu);
-            failures.push_back({global, e.what()});
-            emit_hb(++done);
-        }
-        return 0;
-    });
-    std::sort(failures.begin(), failures.end(),
-              [](const Failure& a, const Failure& b) { return a.index < b.index; });
-    for (const auto& f : failures)
-        err << "worker: point " << f.index << " failed: " << f.what << '\n';
-    return failures.size();
-}
-
-// ---- The local coordinator --------------------------------------------------
-
-std::string self_exe_path(const char* argv0) {
-    std::error_code ec;
-    const auto exe = std::filesystem::read_symlink("/proc/self/exe", ec);
-    if (!ec && !exe.empty()) return exe.string();
-    return argv0 ? argv0 : "floretsim_run";
-}
-
 // ---- The streaming row merge ------------------------------------------------
 
 MergedRowFileStream::MergedRowFileStream(std::vector<std::string> row_paths,
@@ -524,272 +362,6 @@ std::optional<core::SweepRow> MergedRowFileStream::next() {
                                  std::to_string(row_paths_.size()) + ": " +
                                  e.what());
     }
-}
-
-std::unique_ptr<core::RowStream> run_sharded_stream(
-    const ShardOptions& opt, const std::vector<core::SweepPoint>& points) {
-    const obs::Span sharded_span("run_sharded", "shard");
-    // A worker dying mid-write must not take the coordinator down with a
-    // SIGPIPE; the write error surfaces through the wait status instead.
-    ensure_sigpipe_ignored();
-    if (opt.n_shards < 1)
-        throw std::invalid_argument("--shards must be >= 1, got " +
-                                    std::to_string(opt.n_shards));
-    if (opt.worker_exe.empty())
-        throw std::invalid_argument("shard: worker_exe is empty");
-    if (points.empty())
-        return std::make_unique<core::VectorRowStream>(
-            std::vector<core::SweepRow>{});
-    const std::int32_t n_shards = static_cast<std::int32_t>(
-        std::min<std::size_t>(static_cast<std::size_t>(opt.n_shards),
-                              points.size()));
-
-    // The scratch directory must outlive this function — the returned
-    // stream reads row files from it lazily — so it is shared between the
-    // failure paths here (where the last reference dies with the throw,
-    // removing it: a dead worker leaves no temp files behind) and the
-    // stream's cleanup hook.
-    auto tmp = std::make_shared<TempDir>();
-    const std::string points_path = tmp->path + "/points.json";
-    {
-        std::ofstream f(points_path);
-        f << util::json_serialize(to_json(points));
-        if (!f)
-            throw std::runtime_error("shard: cannot write points file " +
-                                     points_path);
-    }
-
-    // Default thread budget: N local workers at full hardware concurrency
-    // each would oversubscribe the host N-fold, so an unset (0) request
-    // splits the cores across the shards. An explicit --threads is passed
-    // through untouched — the multi-host case, where every worker owns
-    // its whole machine.
-    std::int32_t worker_threads = opt.threads_per_worker;
-    if (worker_threads <= 0) {
-        const auto hw =
-            static_cast<std::int32_t>(std::thread::hardware_concurrency());
-        worker_threads = std::max(1, hw / n_shards);
-    }
-
-    // Rows travel through per-shard files (--rows-out), not the popen
-    // pipes: a pipe holds ~64KB, so a big shard would fill it, block its
-    // writer (which holds the worker's row mutex), and serialize the
-    // shards behind the coordinator's sequential drain. Files keep every
-    // worker computing at full speed; the popen pipes carry only the
-    // small heartbeat stream, which the coordinator polls live.
-    const bool trace_on = obs::Tracer::global().enabled();
-    const bool metrics_on = obs::MetricsRegistry::global().enabled();
-    obs::MetricsRegistry::global().add("shard.sweeps");
-
-    struct Worker {
-        FILE* pipe = nullptr;
-        int fd = -1;
-        bool eof = false;
-        std::string buf;
-        bool saw_hb = false;
-        Heartbeat last;
-        std::chrono::steady_clock::time_point last_print;
-        bool printed = false;
-    };
-    std::vector<Worker> workers;
-    std::vector<std::string> row_paths;
-    std::vector<std::string> stderr_paths;
-    std::vector<std::string> trace_paths(static_cast<std::size_t>(n_shards));
-    std::vector<std::string> metrics_paths(static_cast<std::size_t>(n_shards));
-    workers.reserve(static_cast<std::size_t>(n_shards));
-    std::string first_error;
-    for (std::int32_t s = 0; s < n_shards; ++s) {
-        row_paths.push_back(tmp->path + "/rows." + std::to_string(s) + ".ndjson");
-        stderr_paths.push_back(tmp->path + "/stderr." + std::to_string(s) +
-                               ".log");
-        std::string cmd =
-            shell_quote(opt.worker_exe) + " --worker --points " +
-            shell_quote(points_path) + " --shard " + std::to_string(s) + "/" +
-            std::to_string(n_shards) + " --threads " +
-            std::to_string(worker_threads) + " --rows-out " +
-            shell_quote(row_paths.back());
-        if (trace_on) {
-            trace_paths[static_cast<std::size_t>(s)] =
-                tmp->path + "/trace." + std::to_string(s) + ".json";
-            cmd += " --trace-out " +
-                   shell_quote(trace_paths[static_cast<std::size_t>(s)]);
-        }
-        if (metrics_on) {
-            metrics_paths[static_cast<std::size_t>(s)] =
-                tmp->path + "/metrics." + std::to_string(s) + ".json";
-            cmd += " --metrics-out " +
-                   shell_quote(metrics_paths[static_cast<std::size_t>(s)]);
-        }
-        // Capture stderr to a file so a dead worker's last words make it
-        // into the coordinator's exception instead of scrolling away.
-        cmd += " 2> " + shell_quote(stderr_paths.back());
-        FILE* pipe = popen(cmd.c_str(), "r");
-        if (!pipe) {
-            if (first_error.empty())
-                first_error = "shard: cannot spawn worker " + std::to_string(s) +
-                              "/" + std::to_string(n_shards);
-            break;
-        }
-        Worker w;
-        w.pipe = pipe;
-        w.fd = fileno(pipe);
-        w.last_print = std::chrono::steady_clock::now();
-        workers.push_back(w);
-        obs::MetricsRegistry::global().add("shard.workers_spawned");
-    }
-
-    // Live heartbeat loop: poll every worker pipe, parse the NDJSON
-    // heartbeat envelopes, and surface per-shard progress. Non-heartbeat
-    // stdout noise is tolerated silently — the row/merge path below is
-    // the strict one, and a chatty worker must not kill a healthy sweep.
-    const auto print_progress = [&](Worker& w, std::size_t s, bool final_hb) {
-        if (!opt.progress || !w.saw_hb) return;
-        const auto now = std::chrono::steady_clock::now();
-        const double since_print =
-            std::chrono::duration<double>(now - w.last_print).count();
-        if (w.printed && !final_hb && w.last.done != w.last.total &&
-            since_print < opt.progress_interval_s)
-            return;
-        const double pct =
-            w.last.total == 0
-                ? 100.0
-                : 100.0 * static_cast<double>(w.last.done) /
-                      static_cast<double>(w.last.total);
-        char pct_buf[16];
-        std::snprintf(pct_buf, sizeof pct_buf, "%.0f", pct);
-        char sec_buf[32];
-        std::snprintf(sec_buf, sizeof sec_buf, "%.1f", w.last.seconds);
-        *opt.progress << "[shard " << s << "/" << n_shards << "] " << w.last.done
-                      << "/" << w.last.total << " points (" << pct_buf << "%) "
-                      << sec_buf << "s\n"
-                      << std::flush;
-        w.printed = true;
-        w.last_print = now;
-    };
-    const auto handle_line = [&](Worker& w, std::size_t s,
-                                 std::string_view text) {
-        while (!text.empty() && text.back() == '\r') text.remove_suffix(1);
-        if (text.empty()) return;
-        StreamLine line;
-        try {
-            line = stream_line_from(text);
-        } catch (const std::invalid_argument&) {
-            return;  // stdout noise; the row files carry the real data
-        }
-        if (!line.hb) return;
-        w.last = *line.hb;
-        const bool first = !w.saw_hb;
-        w.saw_hb = true;
-        obs::MetricsRegistry::global().add("shard.heartbeats");
-        print_progress(w, s, first || w.last.done == w.last.total);
-    };
-    std::size_t open_fds = workers.size();
-    while (open_fds > 0) {
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> fd_worker;
-        for (std::size_t s = 0; s < workers.size(); ++s) {
-            if (workers[s].eof) continue;
-            fds.push_back(pollfd{workers[s].fd, POLLIN, 0});
-            fd_worker.push_back(s);
-        }
-        const int rc = poll(fds.data(), fds.size(), 200);
-        if (rc < 0) {
-            if (errno == EINTR) continue;
-            break;  // fall through to pclose, which still reaps the workers
-        }
-        for (std::size_t k = 0; k < fds.size(); ++k) {
-            if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-            Worker& w = workers[fd_worker[k]];
-            char chunk[4096];
-            const ssize_t n = ::read(w.fd, chunk, sizeof chunk);
-            if (n > 0) {
-                w.buf.append(chunk, static_cast<std::size_t>(n));
-                std::size_t nl;
-                while ((nl = w.buf.find('\n')) != std::string::npos) {
-                    handle_line(w, fd_worker[k],
-                                std::string_view(w.buf).substr(0, nl));
-                    w.buf.erase(0, nl + 1);
-                }
-            } else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
-                if (!w.buf.empty()) handle_line(w, fd_worker[k], w.buf);
-                w.buf.clear();
-                w.eof = true;
-                --open_fds;
-            }
-        }
-    }
-
-    for (std::size_t s = 0; s < workers.size(); ++s) {
-        const int status = pclose(workers[s].pipe);
-        const std::string worker_stderr = read_file_or_empty(stderr_paths[s]);
-        if (first_error.empty() && status != 0) {
-            first_error = "shard " + std::to_string(s) + "/" +
-                          std::to_string(n_shards) + " " +
-                          describe_wait_status(status);
-            const std::string tail = tail_lines(worker_stderr, 20);
-            first_error += tail.empty() ? "; its stderr was empty"
-                                        : "; last stderr lines:\n" + tail;
-        } else if (status == 0 && !worker_stderr.empty()) {
-            // A healthy worker's warnings still belong on the coordinator's
-            // diagnostic stream, exactly as if stderr had been inherited.
-            (opt.progress ? *opt.progress : std::cerr) << worker_stderr;
-        }
-    }
-    if (!first_error.empty()) throw std::runtime_error(first_error);
-
-    // Straggler/imbalance summary from the final heartbeats, then fold
-    // each worker's trace/metrics file into the process-global sinks.
-    if (opt.progress) {
-        double wall_min = 0.0, wall_max = 0.0, wall_sum = 0.0;
-        std::size_t slowest = 0, reporting = 0;
-        for (std::size_t s = 0; s < workers.size(); ++s) {
-            if (!workers[s].saw_hb) continue;
-            const double sec = workers[s].last.seconds;
-            if (reporting == 0 || sec < wall_min) wall_min = sec;
-            if (reporting == 0 || sec > wall_max) {
-                wall_max = sec;
-                slowest = s;
-            }
-            wall_sum += sec;
-            ++reporting;
-        }
-        if (reporting > 0) {
-            const double mean = wall_sum / static_cast<double>(reporting);
-            const double imbalance = mean > 0.0 ? wall_max / mean : 1.0;
-            char buf[160];
-            std::snprintf(buf, sizeof buf,
-                          "[shards] %zu workers: wall %.1fs..%.1fs (mean %.1fs), "
-                          "imbalance max/mean %.2f, slowest shard %zu\n",
-                          reporting, wall_min, wall_max, mean, imbalance,
-                          slowest);
-            *opt.progress << buf << std::flush;
-        }
-    }
-    for (std::size_t s = 0; s < workers.size(); ++s)
-        absorb_worker_obs(trace_paths[s], metrics_paths[s],
-                          static_cast<std::int32_t>(s), opt.progress);
-
-    // Lazy merge from here on: the stream owns the scratch directory (via
-    // the cleanup hook) and hands rows out one at a time in point order.
-    return std::make_unique<MergedRowFileStream>(std::move(row_paths),
-                                                 points.size(), [tmp] {});
-}
-
-std::vector<core::SweepRow> run_sharded(const ShardOptions& opt,
-                                        const std::vector<core::SweepPoint>& points) {
-    auto stream = run_sharded_stream(opt, points);
-    std::vector<core::SweepRow> rows;
-    rows.reserve(stream->size());
-    while (auto row = stream->next()) rows.push_back(std::move(*row));
-    return rows;
-}
-
-void install_shard_executor(core::SweepEngine& engine, ShardOptions opt) {
-    engine.set_executor_label("shards");
-    engine.set_stream_executor(
-        [opt = std::move(opt)](const std::vector<core::SweepPoint>& points) {
-            return run_sharded_stream(opt, points);
-        });
 }
 
 }  // namespace floretsim::scenario

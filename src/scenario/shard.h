@@ -8,57 +8,36 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/core/sweep.h"
 
 namespace floretsim::scenario {
 
-/// Process-level sweep distribution. The contract, pinned end to end by
-/// the shard_parity ctest:
+/// The row and heartbeat envelopes behind process-level sweep
+/// distribution, plus the helpers a multi-process coordinator needs. The
+/// persistent fleet (src/fleet/) is the one executor built on them;
+/// fleet_parity pins the contract end to end:
 ///
 ///   request:  a serialized SweepPoint list (scenario::to_json) written
-///             to a file — the self-contained work order from PR 4;
-///   worker:   `floretsim_run --worker --points FILE [--shard i/N]`
-///             evaluates its slice on a local SweepEngine and streams one
-///             newline-delimited JSON row per point as it finishes, each
-///             tagged with the point's *global* index (completion order
-///             is arbitrary; content per index is deterministic), plus
-///             {"hb": {...}} heartbeat envelopes reporting live progress;
-///   merge:    the coordinator places rows back into point order (and
+///             to a file and parsed back by points_from_text;
+///   rows:     one newline-delimited JSON {"index": i, "row": {...}} line
+///             per finished point, tagged with the point's *global* index
+///             (completion order is arbitrary; content per index is
+///             deterministic), interleaved with {"hb": {...}} heartbeat
+///             envelopes reporting live progress;
+///   merge:    MergedRowFileStream places rows back into point order (and
 ///             skips heartbeat lines), so the unchanged report functions
 ///             see exactly what a local SweepEngine::run would have
 ///             produced — every figure is bit-identical in 1 process,
 ///             N threads, or N processes, with tracing/metrics on or off.
-///
-/// The same worker CLI is the multi-host seam: ship one points file to N
-/// hosts, run each with a different `--shard i/N`, concatenate the row
-/// streams, merge by index.
-
-// ---- Shard planning ---------------------------------------------------------
-
-/// Global point indices owned by `shard` of `n_shards`: the round-robin
-/// slice shard, shard + n_shards, shard + 2*n_shards, ... Round-robin
-/// rather than contiguous blocks because expansion order is arch-major —
-/// a block split would hand every point of one architecture (and its
-/// distinct per-arch cost) to a single worker. Throws
-/// std::invalid_argument unless 0 <= shard < n_shards.
-[[nodiscard]] std::vector<std::size_t> shard_indices(std::size_t n_points,
-                                                     std::int32_t shard,
-                                                     std::int32_t n_shards);
-
-/// Parses the worker's "--shard i/N" argument (0-based shard index).
-/// Throws std::invalid_argument on malformed input or i >= N.
-[[nodiscard]] std::pair<std::int32_t, std::int32_t> parse_shard_arg(
-    const std::string& s);
 
 /// Validates and clamps a worker's --threads request: negative requests
 /// are an error (throws std::invalid_argument — the coordinator must see
 /// the worker die, not silently run serial), 0 keeps the engine's
 /// hardware-concurrency default, and explicit requests are clamped to
 /// [1, min(n_points, kMaxWorkerThreads)] — a thread per point is the most
-/// a shard can use. Clamps are noted on `err`.
+/// a worker can use. Clamps are noted on `err`.
 inline constexpr std::int32_t kMaxWorkerThreads = 256;
 [[nodiscard]] std::int32_t clamp_worker_threads(std::int32_t requested,
                                                 std::size_t n_points,
@@ -88,18 +67,17 @@ struct IndexedRow {
 /// Throws std::invalid_argument on anything else.
 [[nodiscard]] IndexedRow worker_row_from_line(std::string_view line);
 
-/// Live progress report from a worker: which shard it is, how far through
-/// its slice it is, and its wall clock so far. Emitted as its own NDJSON
-/// envelope {"hb": {...}} interleaved with the {"index","row"} lines, so
-/// the coordinator can print per-shard progress and a straggler summary
-/// while the sweep runs — the visibility layer the ROADMAP's
-/// work-stealing fleet will steer by.
+/// Live progress report from a worker: which worker it is (`shard` of
+/// `n_shards` on the wire), how far through its leased points it is, and
+/// its wall clock so far. Emitted as its own NDJSON envelope {"hb": {...}}
+/// interleaved with the row lines, so the coordinator can print
+/// per-worker progress and spot stragglers while the sweep runs.
 struct Heartbeat {
     std::int32_t shard = 0;
     std::int32_t n_shards = 1;
     std::uint64_t done = 0;   ///< Points finished (rows + failures).
-    std::uint64_t total = 0;  ///< Points in this shard's slice.
-    double seconds = 0.0;     ///< Worker wall clock since slice start.
+    std::uint64_t total = 0;  ///< Points leased to this worker so far.
+    double seconds = 0.0;     ///< Worker wall clock since sweep start.
 
     friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
 };
@@ -122,34 +100,9 @@ struct StreamLine {
 /// envelope. Throws std::invalid_argument on anything else.
 [[nodiscard]] StreamLine stream_line_from(std::string_view line);
 
-/// Where run_worker_points sends heartbeats: `out` null disables them
-/// (the default keeps unit-test call sites row-only); shard/n_shards
-/// label the envelopes.
-struct HeartbeatSink {
-    std::ostream* out = nullptr;
-    std::int32_t shard = 0;
-    std::int32_t n_shards = 1;
-};
-
-/// Worker-side execution: evaluates points[i] for each global index i in
-/// `indices` on the engine's pool, writing one row-stream line to
-/// `rows_out` as each point finishes (mutex-serialized, flushed per line
-/// so the coordinator sees rows while the shard still runs). A point that
-/// throws is reported on `err` as "point <global index> failed: <what>"
-/// and does not emit a row; the remaining points still run. Returns the
-/// number of failed points — the worker's exit code must be nonzero when
-/// this is. When `hb.out` is set, a heartbeat is written there before the
-/// first point and after every completed one (failures count as done —
-/// progress, not success).
-[[nodiscard]] std::size_t run_worker_points(
-    core::SweepEngine& engine, const std::vector<core::SweepPoint>& points,
-    const std::vector<std::size_t>& indices, std::ostream& rows_out,
-    std::ostream& err, const HeartbeatSink& hb = {});
-
 // ---- Process-coordination helpers ------------------------------------------
-// Shared by the one-shot shard coordinator below and the persistent
-// fleet coordinator (src/fleet/): anything that spawns workers and reads
-// their exit status needs all three.
+// Used by the fleet coordinator (src/fleet/): anything that spawns
+// workers and reads their exit status needs these.
 
 /// Ignores SIGPIPE process-wide (idempotent; leaves a non-default
 /// disposition installed by the host application alone). A coordinator
@@ -171,29 +124,11 @@ void absorb_worker_obs(const std::string& trace_path,
                        const std::string& metrics_path, std::int32_t worker,
                        std::ostream* warn);
 
-// ---- The local coordinator --------------------------------------------------
-
-struct ShardOptions {
-    /// Path to the floretsim_run binary to spawn in --worker mode
-    /// (normally self_exe_path(argv[0])).
-    std::string worker_exe;
-    std::int32_t n_shards = 2;
-    /// --threads handed to every worker (0 = hardware concurrency).
-    std::int32_t threads_per_worker = 0;
-    /// Stream for live per-shard progress lines and the end-of-sweep
-    /// straggler/imbalance summary (null = silent). The coordinator's
-    /// default is stderr, keeping stdout's report machinery clean.
-    std::ostream* progress = nullptr;
-    /// Minimum seconds between progress lines per shard (first and final
-    /// heartbeats always print).
-    double progress_interval_s = 0.5;
-};
-
 /// This process's executable path: /proc/self/exe when readable (Linux),
 /// else `argv0` as given.
 [[nodiscard]] std::string self_exe_path(const char* argv0);
 
-/// Streaming merge over per-shard NDJSON row files: one up-front indexing
+/// Streaming merge over NDJSON row files: one up-front indexing
 /// scan per file records each point's (file, byte offset) — validating
 /// that every point has exactly one row and skipping heartbeat envelopes
 /// — and next() then seeks and parses ONE line per call, yielding rows in
@@ -201,7 +136,7 @@ struct ShardOptions {
 /// entries plus a single resident row, never O(rows) of parsed results —
 /// the property that lets a million-point sweep merge in constant memory,
 /// pinned by peak_resident_rows() in the shard tests. The indexing scan
-/// throws std::runtime_error (with the owning shard in the message) on an
+/// throws std::runtime_error (naming the row file's position) on an
 /// unreadable file, an unparseable line, an out-of-range index, or a
 /// duplicate/missing point. `cleanup` is an opaque owner of whatever must
 /// stay alive while rows are being read (the coordinator's scratch
@@ -236,45 +171,5 @@ private:
     std::size_t pos_ = 0;
     std::size_t peak_resident_ = 0;
 };
-
-/// Runs `points` across opt.n_shards worker subprocesses (popen for
-/// process control; one points file in, one --rows-out NDJSON file per
-/// shard back — files rather than pipes so a shard bigger than a pipe
-/// buffer never blocks its worker's compute) and returns the rows as an
-/// ordered stream over those files: the workers run to completion inside
-/// this call (rows complete in arbitrary order, so point order only
-/// exists once every shard is done), but the merge is lazy — see
-/// MergedRowFileStream. The scratch directory holding the row files is
-/// owned by the returned stream and removed when it is destroyed; on any
-/// failure path (worker died, spawn failed, corrupt rows) it is removed
-/// before the exception leaves this function — a dead worker never leaks
-/// temp files. The popen pipes carry the workers' heartbeat streams: the
-/// coordinator polls them while the workers run, printing live per-shard
-/// progress and a final straggler/imbalance summary to opt.progress.
-/// When the process tracer/metrics registry is enabled, each worker
-/// additionally writes its own trace/metrics file into the scratch
-/// directory and the coordinator absorbs them — one merged Chrome trace,
-/// one merged metrics snapshot, across every shard. When
-/// threads_per_worker is 0 the hardware threads are split across the
-/// shards; an explicit value is passed through. Empty shards are avoided
-/// by capping the shard count at the point count. Throws
-/// std::runtime_error when a worker cannot be spawned or exits nonzero
-/// (the failing point's index is on the worker's inherited stderr), and
-/// the indexing scan throws on unparseable/missing/duplicate rows.
-[[nodiscard]] std::unique_ptr<core::RowStream> run_sharded_stream(
-    const ShardOptions& opt, const std::vector<core::SweepPoint>& points);
-
-/// run_sharded_stream collected into a vector — the convenience form for
-/// tests and callers that want every row materialized.
-[[nodiscard]] std::vector<core::SweepRow> run_sharded(
-    const ShardOptions& opt, const std::vector<core::SweepPoint>& points);
-
-/// Installs run_sharded_stream as `engine`'s stream executor: every
-/// subsequent SweepEngine::run / run_stream distributes across
-/// opt.n_shards worker processes without the report functions changing at
-/// all, and — because the engine partitions cache hits out of the
-/// dispatched point list first — a fully warm result cache forks zero
-/// workers.
-void install_shard_executor(core::SweepEngine& engine, ShardOptions opt);
 
 }  // namespace floretsim::scenario

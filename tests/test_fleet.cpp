@@ -562,14 +562,15 @@ TEST_F(FleetEnv, WarmPoolNeverRebuildsAFabric) {
 }
 
 TEST_F(FleetEnv, KilledWorkerIsRestartedAndReportIsBitIdentical) {
-    // Worker 1's first incarnation SIGKILLs itself right after its 2nd
-    // row: the coordinator must reap it, surface the death, restart it,
-    // reassign the un-acked remainder of its lease(s), and still produce
-    // the exact in-process rows.
-    setenv("FLORETSIM_FLEET_KILL", "1:0:2", 1);
+    // The only worker is certain to get work; its first incarnation
+    // SIGKILLs itself just before writing its 2nd row, so it dies holding
+    // at least that un-acked point. The coordinator must reap it, surface
+    // the death, restart it, reassign the un-acked remainder of its
+    // lease(s), and still produce the exact in-process rows.
+    setenv("FLORETSIM_FLEET_KILL", "0:0:2", 1);
     const auto points = fleet_spec(3).expand();
     std::ostringstream progress;
-    auto opt = self_fleet_options(2);
+    auto opt = self_fleet_options(1);
     opt.progress = &progress;
     Coordinator fleet(opt);
     expect_rows_bit_identical(drain(fleet.run_sweep(points)),
@@ -638,9 +639,10 @@ TEST_F(FleetEnv, UnspawnableWorkerExeFailsTheSweep) {
 }
 
 TEST_F(FleetEnv, RestartBudgetIsBounded) {
-    // Every incarnation of the only worker dies after one row (gen -1
-    // matches all generations): after max_restarts the coordinator must
-    // give up with an error instead of respawning forever.
+    // Every incarnation of the only worker dies before its first row
+    // (gen -1 matches all generations): after max_restarts the
+    // coordinator must give up with an error instead of respawning
+    // forever.
     setenv("FLORETSIM_FLEET_KILL", "0:-1:1", 1);
     auto opt = self_fleet_options(1);
     opt.max_restarts_per_worker = 1;
@@ -654,6 +656,28 @@ TEST_F(FleetEnv, RestartBudgetIsBounded) {
     }
     EXPECT_EQ(fleet.stats().worker_restarts, 1);
     EXPECT_EQ(fleet.stats().worker_deaths, 2);
+}
+
+TEST_F(FleetEnv, DeadWorkerStderrIsSurfaced) {
+    // A worker that dies on its own (here: a stand-in that ignores the
+    // protocol) must have its exit status and last stderr lines reported
+    // on the progress stream, not lost.
+    TempDir tmp;
+    const std::string exe = tmp.path + "/worker.sh";
+    std::ofstream(exe) << "#!/bin/sh\necho boom-stderr >&2\nexit 3\n";
+    std::filesystem::permissions(exe, std::filesystem::perms::owner_all);
+    std::ostringstream progress;
+    auto opt = self_fleet_options(1);
+    opt.worker_exe = exe;
+    opt.max_restarts_per_worker = 1;  // fail fast
+    opt.progress = &progress;
+    Coordinator fleet(opt);
+    EXPECT_THROW((void)fleet.run_sweep(fleet_spec(1).expand()),
+                 std::runtime_error);
+    EXPECT_NE(progress.str().find("exited with status 3"), std::string::npos)
+        << progress.str();
+    EXPECT_NE(progress.str().find("boom-stderr"), std::string::npos)
+        << "worker stderr not surfaced: " << progress.str();
 }
 
 TEST_F(FleetEnv, ShutdownReapsWorkersAndRemovesScratch) {

@@ -1,21 +1,19 @@
-/// Unit pins for the sharded-sweep layer (src/scenario/shard.h): the
-/// deterministic shard planner, the NDJSON worker row protocol, the
-/// worker execution loop (streaming, per-point failure isolation), and
-/// the SweepEngine point-list executor seam. The end-to-end multi-process
-/// differential (1 process vs --shards 2 vs --shards 4) is the
-/// shard_parity ctest (scripts/shard_parity.sh), which exercises the real
-/// popen transport.
+/// Unit pins for the process-distribution layer (src/scenario/shard.h):
+/// worker thread clamping, the NDJSON row and heartbeat envelopes, the
+/// streaming row merge, wait-status descriptions, and the SweepEngine
+/// stream-executor seam. The end-to-end multi-process differential
+/// (1 process vs --pool 2 vs --pool 4, with and without a killed worker)
+/// is the fleet_parity ctest (scripts/fleet_parity.sh), which exercises
+/// the real fleet transport.
 
 #include "src/scenario/shard.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -44,45 +42,7 @@ core::SweepSpec tiny_spec() {
     return spec;
 }
 
-// ------------------------------------------------------------- shard planner
-
-TEST(ShardPlan, PartitionIsDisjointCoveringAndBalanced) {
-    for (const std::int32_t n_shards : {1, 2, 3, 4, 7}) {
-        std::set<std::size_t> seen;
-        std::size_t min_size = 100, max_size = 0;
-        for (std::int32_t s = 0; s < n_shards; ++s) {
-            const auto indices = shard_indices(10, s, n_shards);
-            min_size = std::min(min_size, indices.size());
-            max_size = std::max(max_size, indices.size());
-            for (const auto i : indices) {
-                EXPECT_TRUE(seen.insert(i).second)
-                    << "index " << i << " owned by two shards";
-            }
-        }
-        EXPECT_EQ(seen.size(), 10u) << n_shards << " shards";
-        EXPECT_LE(max_size - min_size, 1u) << n_shards << " shards";
-    }
-}
-
-TEST(ShardPlan, RoundRobinInterleavesArchMajorExpansion) {
-    // Expansion order is arch-major, so a round-robin split must give
-    // every shard points from every architecture (a block split would
-    // not). 2 archs x 1 grid x 1 mix expands to [siam, floret].
-    const auto points = tiny_spec().expand();
-    ASSERT_EQ(points.size(), 2u);
-    EXPECT_EQ(shard_indices(points.size(), 0, 2), (std::vector<std::size_t>{0}));
-    EXPECT_EQ(shard_indices(points.size(), 1, 2), (std::vector<std::size_t>{1}));
-    // More shards than points: the tail shards are empty, never invalid.
-    EXPECT_TRUE(shard_indices(2, 3, 4).empty());
-}
-
-TEST(ShardPlan, ParseShardArg) {
-    EXPECT_EQ(parse_shard_arg("0/1"), (std::pair<std::int32_t, std::int32_t>{0, 1}));
-    EXPECT_EQ(parse_shard_arg("3/8"), (std::pair<std::int32_t, std::int32_t>{3, 8}));
-    for (const char* bad : {"", "3", "/4", "3/", "4/4", "5/4", "-1/4", "a/b",
-                            "1/0", "1/-2", "1.5/4"})
-        EXPECT_THROW((void)parse_shard_arg(bad), std::invalid_argument) << bad;
-}
+// ------------------------------------------------------- worker threads
 
 TEST(ShardPlan, ClampWorkerThreads) {
     std::ostringstream err;
@@ -136,70 +96,6 @@ TEST(ShardProtocol, PointsFromTextRejectsEmptyAndMalformed) {
     EXPECT_EQ(points, tiny_spec().expand());
 }
 
-// ------------------------------------------------------------- worker loop
-
-TEST(ShardWorker, StreamsEveryPointOnceBitIdenticalToLocalRun) {
-    const auto points = tiny_spec().expand();
-    core::SweepEngine local(1);
-    const auto expect = local.run(points);
-
-    for (const std::int32_t threads : {1, 3}) {
-        core::SweepEngine engine(threads);
-        std::ostringstream rows_out, err;
-        const std::size_t failed = run_worker_points(
-            engine, points, shard_indices(points.size(), 0, 1), rows_out, err);
-        EXPECT_EQ(failed, 0u);
-        EXPECT_TRUE(err.str().empty()) << err.str();
-
-        std::vector<IndexedRow> rows;
-        std::istringstream lines(rows_out.str());
-        for (std::string line; std::getline(lines, line);)
-            rows.push_back(worker_row_from_line(line));
-        ASSERT_EQ(rows.size(), points.size());
-        std::sort(rows.begin(), rows.end(),
-                  [](const IndexedRow& a, const IndexedRow& b) {
-                      return a.index < b.index;
-                  });
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            EXPECT_EQ(rows[i].index, i);
-            EXPECT_EQ(rows[i].row.point, expect.rows[i].point);
-            // The result must be bit-identical across processes and thread
-            // counts; `seconds` is wall-clock and deliberately excluded.
-            EXPECT_EQ(rows[i].row.result, expect.rows[i].result);
-        }
-    }
-}
-
-TEST(ShardWorker, FailingPointReportsItsIndexAndSparesTheRest) {
-    auto points = tiny_spec().expand();
-    // Point 1 carries a mix naming a workload that does not exist; the
-    // evaluation throws, the worker records index 1, and point 0 still
-    // produces its row.
-    points[1].mix.name = "broken";
-    points[1].mix.entries = {{"DNN99-no-such-workload", 1}};
-    core::SweepEngine engine(2);
-    std::ostringstream rows_out, err;
-    const std::size_t failed = run_worker_points(
-        engine, points, shard_indices(points.size(), 0, 1), rows_out, err);
-    EXPECT_EQ(failed, 1u);
-    EXPECT_NE(err.str().find("point 1 failed"), std::string::npos) << err.str();
-
-    std::vector<IndexedRow> rows;
-    std::istringstream lines(rows_out.str());
-    for (std::string line; std::getline(lines, line);)
-        rows.push_back(worker_row_from_line(line));
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].index, 0u);
-}
-
-TEST(ShardWorker, RejectsOutOfRangeIndices) {
-    core::SweepEngine engine(1);
-    std::ostringstream rows_out, err;
-    EXPECT_THROW((void)run_worker_points(engine, tiny_spec().expand(), {7},
-                                         rows_out, err),
-                 std::invalid_argument);
-}
-
 // ---------------------------------------------------------- heartbeats
 
 TEST(ShardHeartbeat, LineRoundTripsThroughStreamParser) {
@@ -226,54 +122,9 @@ TEST(ShardHeartbeat, StreamParserStillAcceptsRowLines) {
     EXPECT_EQ(parsed.row->index, 0u);
 }
 
-TEST(ShardHeartbeat, WorkerEmitsMonotoneProgressEndingComplete) {
-    const auto points = tiny_spec().expand();
-    core::SweepEngine engine(2);
-    std::ostringstream rows_out, err, hb_out;
-    const std::size_t failed =
-        run_worker_points(engine, points, shard_indices(points.size(), 0, 1),
-                          rows_out, err, HeartbeatSink{&hb_out, 0, 1});
-    EXPECT_EQ(failed, 0u);
-    std::vector<Heartbeat> beats;
-    std::istringstream lines(hb_out.str());
-    for (std::string line; std::getline(lines, line);) {
-        const StreamLine parsed = stream_line_from(line);
-        ASSERT_TRUE(parsed.hb.has_value()) << line;
-        beats.push_back(*parsed.hb);
-    }
-    // One before the first point, one after each of the N points.
-    ASSERT_EQ(beats.size(), points.size() + 1);
-    for (std::size_t i = 0; i < beats.size(); ++i) {
-        EXPECT_EQ(beats[i].done, i);
-        EXPECT_EQ(beats[i].total, points.size());
-        EXPECT_EQ(beats[i].shard, 0);
-        EXPECT_EQ(beats[i].n_shards, 1);
-        if (i > 0) EXPECT_GE(beats[i].seconds, beats[i - 1].seconds);
-    }
-    EXPECT_EQ(beats.back().done, beats.back().total);
-}
-
-TEST(ShardHeartbeat, FailedPointsStillCountAsProgress) {
-    auto points = tiny_spec().expand();
-    points[1].mix.name = "broken";
-    points[1].mix.entries = {{"DNN99-no-such-workload", 1}};
-    core::SweepEngine engine(1);
-    std::ostringstream rows_out, err, hb_out;
-    const std::size_t failed =
-        run_worker_points(engine, points, shard_indices(points.size(), 0, 1),
-                          rows_out, err, HeartbeatSink{&hb_out, 0, 1});
-    EXPECT_EQ(failed, 1u);
-    std::vector<Heartbeat> beats;
-    std::istringstream lines(hb_out.str());
-    for (std::string line; std::getline(lines, line);)
-        beats.push_back(*stream_line_from(line).hb);
-    ASSERT_EQ(beats.size(), points.size() + 1);
-    EXPECT_EQ(beats.back().done, points.size());
-}
-
 // ---------------------------------------------------------- executor seam
 
-TEST(ShardExecutor, EngineRunDispatchesThroughThePointExecutor) {
+TEST(StreamExecutor, EngineRunDispatchesThroughTheStreamExecutor) {
     const auto spec = tiny_spec();
     core::SweepEngine plain(1);
     const auto expect = plain.run(spec);
@@ -281,12 +132,14 @@ TEST(ShardExecutor, EngineRunDispatchesThroughThePointExecutor) {
     core::SweepEngine engine(1);
     std::size_t calls = 0;
     // A stand-in transport: evaluate the handed points on a second engine,
-    // exactly what the fork-N-workers executor does across processes.
-    engine.set_point_executor(
-        [&](const std::vector<core::SweepPoint>& points) {
+    // exactly what the fleet executor does across processes.
+    engine.set_stream_executor(
+        [&](const std::vector<core::SweepPoint>& points)
+            -> std::unique_ptr<core::RowStream> {
             ++calls;
             core::SweepEngine inner(2);
-            return inner.run(points).rows;
+            return std::make_unique<core::VectorRowStream>(
+                inner.run(points).rows);
         });
     const auto got = engine.run(spec);
     EXPECT_EQ(calls, 1u);
@@ -301,11 +154,13 @@ TEST(ShardExecutor, EngineRunDispatchesThroughThePointExecutor) {
     EXPECT_EQ(got.at(1, 0, 0).result, expect.at(1, 0, 0).result);
 }
 
-TEST(ShardExecutor, ShortRowListIsAnError) {
+TEST(StreamExecutor, ShortRowStreamIsAnError) {
     core::SweepEngine engine(1);
-    engine.set_point_executor(
-        [](const std::vector<core::SweepPoint>&) {
-            return std::vector<core::SweepRow>{};
+    engine.set_stream_executor(
+        [](const std::vector<core::SweepPoint>&)
+            -> std::unique_ptr<core::RowStream> {
+            return std::make_unique<core::VectorRowStream>(
+                std::vector<core::SweepRow>{});
         });
     EXPECT_THROW((void)engine.run(tiny_spec()), std::runtime_error);
 }
@@ -338,12 +193,12 @@ core::SweepRow tagged_row(std::size_t i) {
     return row;
 }
 
-/// Writes one shard's NDJSON row file: the given global indices in the
-/// given (arbitrary) order, a heartbeat line interleaved after each row —
-/// exactly what a worker's --rows-out file looks like.
-std::string write_row_file(const std::string& dir, std::size_t shard,
+/// Writes one NDJSON row file: the given global indices in the given
+/// (arbitrary) order, a heartbeat line interleaved after each row — the
+/// row and heartbeat envelopes a worker streams back.
+std::string write_row_file(const std::string& dir, std::size_t file,
                            const std::vector<std::size_t>& indices) {
-    const std::string path = dir + "/rows." + std::to_string(shard) + ".ndjson";
+    const std::string path = dir + "/rows." + std::to_string(file) + ".ndjson";
     std::ofstream f(path);
     Heartbeat hb;
     hb.total = indices.size();
@@ -357,8 +212,8 @@ std::string write_row_file(const std::string& dir, std::size_t shard,
 
 TEST(MergedStream, YieldsPointOrderHoldingOneRowAtATime) {
     TempDir tmp;
-    // 6 points round-robined over 2 shards, each file in completion (not
-    // point) order, with heartbeat envelopes interleaved.
+    // 6 points split over 2 files, each in completion (not point) order,
+    // with heartbeat envelopes interleaved.
     const auto f0 = write_row_file(tmp.path, 0, {4, 0, 2});
     const auto f1 = write_row_file(tmp.path, 1, {5, 3, 1});
     MergedRowFileStream stream({f0, f1}, 6);
@@ -429,51 +284,6 @@ TEST(MergedStream, IndexScanRejectsBadRowFiles) {
     EXPECT_THROW(MergedRowFileStream({garbled}, 1), std::runtime_error);
 }
 
-std::size_t count_shard_scratch_dirs() {
-    std::size_t n = 0;
-    for (const auto& e : std::filesystem::directory_iterator(
-             std::filesystem::temp_directory_path())) {
-        if (e.path().filename().string().rfind("floretsim-shard-", 0) == 0) ++n;
-    }
-    return n;
-}
-
-TEST(ShardExecutor, DeadWorkerLeavesNoScratchDirectoryBehind) {
-    const auto before = count_shard_scratch_dirs();
-    ShardOptions opt;
-    opt.worker_exe = "/nonexistent/floretsim-worker-binary";
-    opt.n_shards = 2;
-    EXPECT_THROW((void)run_sharded(opt, tiny_spec().expand()),
-                 std::runtime_error);
-    EXPECT_EQ(count_shard_scratch_dirs(), before)
-        << "a dead worker leaked its coordinator scratch directory";
-}
-
-/// Writes an executable stand-in worker script that ignores its argv.
-std::string write_worker_script(const TempDir& tmp, const std::string& body) {
-    const std::string path = tmp.path + "/worker.sh";
-    std::ofstream(path) << "#!/bin/sh\n" << body;
-    std::filesystem::permissions(path, std::filesystem::perms::owner_all);
-    return path;
-}
-
-TEST(ShardExecutor, DeadWorkerStderrIsSurfacedInTheError) {
-    TempDir tmp;
-    ShardOptions opt;
-    opt.worker_exe =
-        write_worker_script(tmp, "echo boom-stderr >&2\nexit 3\n");
-    opt.n_shards = 2;
-    try {
-        (void)run_sharded(opt, tiny_spec().expand());
-        FAIL() << "failing worker accepted";
-    } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("exited with status 3"), std::string::npos) << what;
-        EXPECT_NE(what.find("boom-stderr"), std::string::npos)
-            << "worker stderr not surfaced: " << what;
-    }
-}
-
 TEST(ShardExecutor, DescribeWaitStatusNamesExitsAndSignals) {
     // Wait statuses as waitpid/pclose encode them on Linux: exit code in
     // the high byte, terminating signal in the low 7 bits. The
@@ -484,19 +294,6 @@ TEST(ShardExecutor, DescribeWaitStatusNamesExitsAndSignals) {
     EXPECT_EQ(describe_wait_status(127 << 8), "exited with status 127");
     EXPECT_EQ(describe_wait_status(9), "died on signal 9 (Killed)");
     EXPECT_EQ(describe_wait_status(15), "died on signal 15 (Terminated)");
-}
-
-TEST(ShardExecutor, RunShardedValidatesItsOptions) {
-    ShardOptions opt;
-    opt.worker_exe = "";
-    EXPECT_THROW((void)run_sharded(opt, tiny_spec().expand()),
-                 std::invalid_argument);
-    opt.worker_exe = "floretsim_run";
-    opt.n_shards = 0;
-    EXPECT_THROW((void)run_sharded(opt, tiny_spec().expand()),
-                 std::invalid_argument);
-    opt.n_shards = 2;
-    EXPECT_TRUE(run_sharded(opt, {}).empty());  // no points, no workers
 }
 
 }  // namespace
