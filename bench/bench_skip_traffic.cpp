@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 
@@ -34,37 +33,6 @@ using namespace floretsim;
 constexpr noc::SimCore kCores[] = {noc::SimCore::kReference,
                                    noc::SimCore::kEventHorizon,
                                    noc::SimCore::kRegional};
-
-/// FNV-1a over the semantic SimResult fields (everything the differential
-/// contract covers; engine-work statistics excluded), folded to 32 bits so
-/// it survives the JSON round trip as an exact double.
-std::uint32_t result_hash(const noc::SimResult& r) {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (8 * b)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    const auto mixd = [&mix](double d) {
-        std::uint64_t v = 0;
-        std::memcpy(&v, &d, sizeof v);
-        mix(v);
-    };
-    mix(static_cast<std::uint64_t>(r.cycles));
-    mix(static_cast<std::uint64_t>(r.packets));
-    mix(static_cast<std::uint64_t>(r.flits));
-    mix(static_cast<std::uint64_t>(r.flit_hops));
-    mix(r.completed ? 1 : 0);
-    mix(static_cast<std::uint64_t>(r.packet_latency.count()));
-    mixd(r.packet_latency.mean());
-    mixd(r.packet_latency.variance());
-    mixd(r.packet_latency.min());
-    mixd(r.packet_latency.max());
-    for (const auto v : r.router_flits) mix(static_cast<std::uint64_t>(v));
-    for (const auto v : r.link_flits) mix(static_cast<std::uint64_t>(v));
-    return static_cast<std::uint32_t>(h ^ (h >> 32));
-}
 
 }  // namespace
 
@@ -197,7 +165,7 @@ int main(int argc, char** argv) {
         const double ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
-        const std::uint32_t hash = result_hash(r);
+        const std::uint32_t hash = noc::result_hash(r);
         const std::string prefix =
             std::string("drain_") + noc::sim_core_name(core_kind);
         drain_t.add_row(
@@ -232,7 +200,7 @@ int main(int argc, char** argv) {
         report.add_metric(prefix + "_wall_seconds", ms / 1e3);
         if (core_kind == noc::SimCore::kReference)
             drain_ref = r;
-        else if (result_hash(drain_ref) != hash)
+        else if (noc::result_hash(drain_ref) != hash)
             all_agree = false;
     }
     drain_t.print(std::cout);

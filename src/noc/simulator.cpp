@@ -1,10 +1,12 @@
 #include "src/noc/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <optional>
@@ -52,14 +54,12 @@ struct Channel {
 };
 
 /// One locality unit of the regional core: a set of routers, the channels
-/// whose FIFOs they host (in_ch), the channels they allocate (out_ch), and
-/// an independent local clock. The single-clock cores are the one-region
-/// special case — one region spanning the fabric makes the merged phase
-/// loops below degenerate to the legacy whole-network iteration order.
+/// whose FIFOs they host (in_ch), and an independent local clock. The
+/// single-clock cores are the one-region special case — one region
+/// spanning the fabric, always awake while it steps.
 struct Region {
-    std::vector<std::int32_t> nodes;   ///< Member routers, ascending.
-    std::vector<std::int32_t> in_ch;   ///< Channels with `to` here, ascending.
-    std::vector<std::int32_t> out_ch;  ///< Channels with `from` here, ascending.
+    std::vector<std::int32_t> nodes;  ///< Member routers, ascending.
+    std::vector<std::int32_t> in_ch;  ///< Channels with `to` here, ascending.
     std::int64_t next = 0;     ///< Earliest cycle this region must execute.
     std::int64_t stepped = 0;  ///< Cycles this region participated in.
     std::int64_t jumps = 0;    ///< Sleep transitions skipping >= 1 cycle.
@@ -69,6 +69,42 @@ struct Region {
 /// the switch this cycle. Non-negative values are output channel indices.
 constexpr std::int32_t kRequestNone = -2;   ///< Source FIFO is empty.
 constexpr std::int32_t kRequestEject = -1;  ///< Head flit is at its destination.
+
+/// A set of channel indices stored as a bitset, visited in ascending index
+/// order — the reference core's channel order — at a cost proportional to
+/// the set's words plus its members rather than to every channel.
+class ChannelSet {
+public:
+    void resize(const std::size_t n) { words_.assign((n + 63) / 64, 0); }
+    void set(const std::size_t i) { words_[i >> 6] |= bit(i); }
+    void reset(const std::size_t i) { words_[i >> 6] &= ~bit(i); }
+
+    /// Calls fn(i) for every member in ascending order. fn may remove the
+    /// member it is handed; the members of each word are read up front.
+    template <class Fn>
+    void for_each(Fn&& fn) const {
+        for (std::size_t w = 0; w < words_.size(); ++w)
+            for (std::uint64_t m = words_[w]; m != 0; m &= m - 1)
+                fn((w << 6) | static_cast<std::size_t>(std::countr_zero(m)));
+    }
+
+    /// Removes the members in ascending order, calling fn(i) on each. fn
+    /// may add members above i, which are visited in turn; the set is
+    /// empty on return.
+    template <class Fn>
+    void drain(Fn&& fn) {
+        for (std::size_t w = 0; w < words_.size(); ++w)
+            while (words_[w] != 0) {
+                const auto b = static_cast<std::size_t>(std::countr_zero(words_[w]));
+                words_[w] &= words_[w] - 1;
+                fn((w << 6) | b);
+            }
+    }
+
+private:
+    static std::uint64_t bit(const std::size_t i) { return std::uint64_t{1} << (i & 63); }
+    std::vector<std::uint64_t> words_;
+};
 
 /// Process-wide core override, parsed once: lets CI, the --core CLI flags
 /// (which set the variable before first use) and ad-hoc debugging force
@@ -95,14 +131,24 @@ std::optional<SimCore> core_env_override() {
 /// eject, allocate — but only over *awake* regions (next <= now); when no
 /// region is due, the global clock jumps to the earliest regional wake-up.
 ///
+/// Each phase visits only the channels that can act, kept in three
+/// channel sets: pipe-busy (a flit in the link pipeline), FIFO-occupied
+/// (a flit in the downstream input buffer) and requested-output (some
+/// participating head flit asks for the output this cycle). Deliver scans
+/// pipe-busy; eject and the request refresh scan FIFO-occupied; allocation
+/// drains requested-output. An empty FIFO always carries kRequestNone, so
+/// skipping it loses no request, and allocate_output on an output no head
+/// flit requests returns false with no side effect, so skipping it loses
+/// no allocation.
+///
 /// Bit-identicality with the reference loop rests on two ordering rules and
 /// one fixed-point theorem:
 ///
-///   - Ejection and allocation iterate the awake regions' channel lists
-///     merged in ascending global channel index — the reference core's
-///     exact order. Ejection order fixes the floating-point accumulation
-///     order of packet_latency; allocation order fixes the same-cycle
-///     credit/drain coupling between channels of one cycle.
+///   - Ejection and allocation visit the awake regions' channels in
+///     ascending global channel index — the reference core's exact order.
+///     Ejection order fixes the floating-point accumulation order of
+///     packet_latency; allocation order fixes the same-cycle credit/drain
+///     coupling between channels of one cycle.
 ///
 ///   - The PR-3 fixed point, localized: a cycle in which a region ejected
 ///     nothing, allocated nothing, and received no credit from another
@@ -121,9 +167,9 @@ std::optional<SimCore> core_env_override() {
 ///     output channel has *zero* lookahead — the reference allocator could
 ///     use it later in the same cycle — so the owner is woken within the
 ///     cycle for the allocation phase only: a credit returned by ejection
-///     enters the merged scan from its first channel (ejection precedes
-///     all allocation), and a credit returned by a drain mid-scan enters
-///     just past the draining channel's index — precisely the set of
+///     adds all of the sleeper's requested outputs to the scan (ejection
+///     precedes all allocation), and a credit returned by a drain mid-scan
+///     adds only those past the draining channel's index — precisely the
 ///     outputs the reference core would still visit with that credit
 ///     available. A credit-touched region never proves quietness that
 ///     cycle (the stale request table cannot see what the credit unblocks);
@@ -232,13 +278,13 @@ public:
             const auto tr = node_region[static_cast<std::size_t>(channels_[ci].to)];
             ch_from_region_[ci] = fr;
             ch_to_region_[ci] = tr;
-            regions_[static_cast<std::size_t>(fr)].out_ch.push_back(
-                static_cast<std::int32_t>(ci));
             regions_[static_cast<std::size_t>(tr)].in_ch.push_back(
                 static_cast<std::int32_t>(ci));
         }
         for (auto& r : regions_) r.next = region_next_injection(r);
-        cursor_.assign(regions_.size(), 0);
+        pipe_busy_.resize(channels_.size());
+        fifo_occupied_.resize(channels_.size());
+        requested_.resize(channels_.size());
         is_awake_.assign(regions_.size(), 0);
         in_alloc_.assign(regions_.size(), 0);
         region_active_.assign(regions_.size(), 0);
@@ -307,8 +353,9 @@ private:
     /// per-phase flit counters split a run's movement into its three
     /// engine phases — inject (flits entering source FIFOs), allocate
     /// (hops won through switch allocation), eject (flits leaving the
-    /// fabric) — and the region counters expose how much of the fabric
-    /// the kRegional core actually stepped vs slept.
+    /// fabric) — the region counters expose how much of the fabric the
+    /// kRegional core actually stepped vs slept, and the scan counter how
+    /// many output channels the allocator visited.
     void flush_metrics() const {
         auto& m = obs::MetricsRegistry::global();
         if (!m.enabled()) return;
@@ -323,42 +370,49 @@ private:
         m.add("sim.region_cycles_stepped", res_.region_cycles_stepped);
         m.add("sim.region_cycles_skipped", res_.region_cycles_skipped);
         m.add("sim.region_horizon_jumps", res_.region_horizon_jumps);
+        m.add("sim.outputs_allocated_scanned", outputs_scanned_);
         m.observe("sim.run_cycles", static_cast<double>(res_.cycles));
     }
 
     /// One cycle of the reference semantics over the awake regions.
     void step_awake(const std::int64_t now) {
-        // 1. Injection: move due packets into their source FIFOs as flits.
-        // A sleeping region never has a due injection: its horizon is
-        // bounded by the earliest pending one.
+        // 1. Injection: move due packets into their source FIFOs as flits,
+        // then refresh those FIFOs' requests (nothing before allocation
+        // changes them). A sleeping region never has a due injection: its
+        // horizon is bounded by the earliest pending one.
         for (const auto r : awake_)
-            for (const auto node : regions_[static_cast<std::size_t>(r)].nodes)
-                inject_node(static_cast<std::size_t>(node), now);
+            for (const auto node : regions_[static_cast<std::size_t>(r)].nodes) {
+                const auto n = static_cast<std::size_t>(node);
+                inject_node(n, now);
+                if (inj_fifo_[n].empty()) continue;
+                inj_request_[n] = request_of(inj_fifo_[n]);
+                if (inj_request_[n] >= 0)
+                    requested_.set(static_cast<std::size_t>(inj_request_[n]));
+            }
 
         // 2. Link pipelines: deliver arrived flits into downstream FIFOs.
         // A sleeping region never has a due arrival: the allocation that
         // launched the flit bounded this region's clock by its arrival.
-        for (const auto r : awake_)
-            for (const auto ci : regions_[static_cast<std::size_t>(r)].in_ch) {
-                Channel& c = channels_[static_cast<std::size_t>(ci)];
-                while (!c.pipe.empty() && c.pipe.front().second <= now) {
-                    c.fifo.push_back(c.pipe.front().first);
-                    c.pipe.pop_front();
-                }
+        pipe_busy_.for_each([&](const std::size_t ci) {
+            if (!is_awake_[static_cast<std::size_t>(ch_to_region_[ci])]) return;
+            Channel& c = channels_[ci];
+            while (!c.pipe.empty() && c.pipe.front().second <= now) {
+                c.fifo.push_back(c.pipe.front().first);
+                c.pipe.pop_front();
+                fifo_occupied_.set(ci);
             }
+            if (c.pipe.empty()) pipe_busy_.reset(ci);
+        });
 
-        // 3. Ejection, merged in ascending global channel index across the
-        // awake regions (one flit per input port per cycle). A sleeping
-        // region holds no ejectable head — its quiet proof rules that out
-        // and its FIFOs have not changed since — so skipping it drops no
-        // ejection and no latency sample.
+        // 3. Ejection in ascending global channel index (one flit per
+        // input port per cycle), then the request refresh of what is left
+        // in each FIFO. A sleeping region holds no ejectable head — its
+        // quiet proof rules that out and its FIFOs have not changed since —
+        // so skipping it drops no ejection and no latency sample, and its
+        // requests are still valid for the same reason.
         eject_awake(now);
 
-        // 4. Switch allocation over the head-flit request table. Requests
-        // are refreshed only for awake regions; a sleeping region's table
-        // is still valid because its FIFOs cannot have changed since its
-        // last participation (any drain would have kept it awake).
-        for (const auto r : awake_) refresh_requests(static_cast<std::size_t>(r));
+        // 4. Switch allocation over the requested outputs.
         allocate_awake(now);
 
         finish_cycle(now);
@@ -384,22 +438,15 @@ private:
     }
 
     void eject_awake(const std::int64_t now) {
-        for (const auto r : awake_) cursor_[static_cast<std::size_t>(r)] = 0;
-        for (;;) {
-            std::int32_t best_r = -1;
-            std::int32_t best_ci = std::numeric_limits<std::int32_t>::max();
-            for (const auto r : awake_) {
-                const auto& in = regions_[static_cast<std::size_t>(r)].in_ch;
-                const auto cur = cursor_[static_cast<std::size_t>(r)];
-                if (cur < in.size() && in[cur] < best_ci) {
-                    best_ci = in[cur];
-                    best_r = r;
-                }
-            }
-            if (best_r < 0) break;
-            ++cursor_[static_cast<std::size_t>(best_r)];
-            try_eject(static_cast<std::size_t>(best_ci), best_r, now);
-        }
+        fifo_occupied_.for_each([&](const std::size_t ci) {
+            const auto r = ch_to_region_[ci];
+            if (!is_awake_[static_cast<std::size_t>(r)]) return;
+            try_eject(ci, r, now);
+            if (channels_[ci].fifo.empty()) return;
+            ch_request_[ci] = request_of(channels_[ci].fifo);
+            if (ch_request_[ci] >= 0)
+                requested_.set(static_cast<std::size_t>(ch_request_[ci]));
+        });
     }
 
     /// Ejects the front flit of channel `ci` if it sits at its destination,
@@ -407,7 +454,6 @@ private:
     void try_eject(const std::size_t ci, const std::int32_t region,
                    const std::int64_t now) {
         Channel& c = channels_[ci];
-        if (c.fifo.empty()) return;
         const Flit& f = c.fifo.front();
         const auto& p = packets_[static_cast<std::size_t>(f.packet)];
         if ((*p.path)[static_cast<std::size_t>(f.hop)] != p.dst) return;
@@ -418,47 +464,43 @@ private:
         ++res_.flits;
         --in_flight_flits_;
         c.fifo.pop_front();
+        if (c.fifo.empty()) {
+            fifo_occupied_.reset(ci);
+            ch_request_[ci] = kRequestNone;
+        }
         ++c.credits;
         region_active_[static_cast<std::size_t>(region)] = 1;
         // The freed slot is a credit for whoever allocates onto this
         // channel: its upstream region. Ejection precedes all allocation,
-        // so a woken sleeper enters the merged scan from its first channel.
+        // so a woken sleeper joins the scan with all its requests.
         wake_for_credit(ch_from_region_[ci], -1);
     }
 
     /// Marks `r` credit-touched and, if it is sleeping through this cycle,
-    /// enrolls it in the allocation phase starting just past channel
-    /// `after_ci` (-1 = from the beginning).
+    /// enrolls it in the allocation phase: its requested outputs past
+    /// channel `after_ci` (-1 = all of them) join the scan. A sleeper's
+    /// requests are still valid — its FIFOs have not changed since its
+    /// last refresh — and the kRequest* sentinels never exceed -1.
     void wake_for_credit(const std::int32_t r, const std::int32_t after_ci) {
         const auto ri = static_cast<std::size_t>(r);
         credit_touched_[ri] = 1;
         if (is_awake_[ri] || in_alloc_[ri]) return;
         in_alloc_[ri] = 1;
-        const auto& oc = regions_[ri].out_ch;
-        cursor_[ri] =
-            after_ci < 0
-                ? 0
-                : static_cast<std::size_t>(
-                      std::upper_bound(oc.begin(), oc.end(), after_ci) - oc.begin());
         alloc_extra_.push_back(r);
+        const auto add = [&](const std::int32_t req) {
+            if (req > after_ci) requested_.set(static_cast<std::size_t>(req));
+        };
+        for (const auto node : regions_[ri].nodes)
+            add(inj_request_[static_cast<std::size_t>(node)]);
+        for (const auto ci : regions_[ri].in_ch)
+            add(ch_request_[static_cast<std::size_t>(ci)]);
     }
 
-    /// Rebuilds the head-flit request table for one region's FIFO fronts.
-    /// Entries of sources drained later in the same cycle go stale, but the
-    /// allocator's one-flit-per-input-per-cycle guard keeps them unread.
-    void refresh_requests(const std::size_t r) {
-        for (const auto node : regions_[r].nodes) {
-            const auto n = static_cast<std::size_t>(node);
-            inj_request_[n] = request_of(inj_fifo_[n]);
-        }
-        for (const auto ci : regions_[r].in_ch) {
-            const auto c = static_cast<std::size_t>(ci);
-            ch_request_[c] = request_of(channels_[c].fifo);
-        }
-    }
-
+    /// What the head flit of a non-empty FIFO asks of the switch. A request
+    /// goes stale when an allocation drains its source but leaves flits
+    /// behind; the allocator's one-flit-per-input-per-cycle guard keeps it
+    /// unread until the next refresh.
     [[nodiscard]] std::int32_t request_of(const std::deque<Flit>& fifo) const {
-        if (fifo.empty()) return kRequestNone;
         const Flit& f = fifo.front();
         const auto& p = packets_[static_cast<std::size_t>(f.packet)];
         const auto& path = *p.path;
@@ -471,36 +513,17 @@ private:
         return kRequestNone;
     }
 
-    /// Allocation over the participating regions' output channels, merged
-    /// in ascending global channel index. Participants are the awake
-    /// regions plus any sleeper woken by a same-cycle credit return;
-    /// alloc_extra_ may grow while the scan runs (a drain can return
-    /// credit across a cut), and a region woken at position p only scans
-    /// channels past p — exactly the outputs the reference core would
+    /// Allocation over the requested outputs in ascending global channel
+    /// index. The set may grow while the scan runs: a drain can return
+    /// credit to a sleeper across a cut, whose requests past the draining
+    /// channel then join — exactly the outputs the reference core would
     /// still visit with that credit available.
     void allocate_awake(const std::int64_t now) {
-        for (const auto r : awake_) {
-            cursor_[static_cast<std::size_t>(r)] = 0;
-            in_alloc_[static_cast<std::size_t>(r)] = 1;
-        }
-        for (;;) {
-            std::int32_t best_r = -1;
-            std::int32_t best_ci = std::numeric_limits<std::int32_t>::max();
-            const auto consider = [&](const std::int32_t r) {
-                const auto& oc = regions_[static_cast<std::size_t>(r)].out_ch;
-                const auto cur = cursor_[static_cast<std::size_t>(r)];
-                if (cur < oc.size() && oc[cur] < best_ci) {
-                    best_ci = oc[cur];
-                    best_r = r;
-                }
-            };
-            for (const auto r : awake_) consider(r);
-            for (const auto r : alloc_extra_) consider(r);
-            if (best_r < 0) break;
-            ++cursor_[static_cast<std::size_t>(best_r)];
-            if (allocate_output(static_cast<std::size_t>(best_ci), now))
-                region_active_[static_cast<std::size_t>(best_r)] = 1;
-        }
+        requested_.drain([&](const std::size_t ci) {
+            ++outputs_scanned_;
+            if (allocate_output(ci, now))
+                region_active_[static_cast<std::size_t>(ch_from_region_[ci])] = 1;
+        });
         // Reset the one-flit-per-input guards we actually set — O(moved
         // flits), not O(channels): the whole-table std::fill the former
         // single-clock loop used would charge every region for one hot
@@ -572,11 +595,16 @@ private:
             // remainder of this scan (channels past `ci` only).
             const auto up =
                 static_cast<std::size_t>(ins[static_cast<std::size_t>(chosen) - 1]);
+            if (fifo.empty()) {
+                fifo_occupied_.reset(up);
+                ch_request_[up] = kRequestNone;
+            }
             ++channels_[up].credits;
             channel_drained_[up] = 1;
             drained_ch_scratch_.push_back(static_cast<std::int32_t>(up));
             wake_for_credit(ch_from_region_[up], static_cast<std::int32_t>(ci));
         } else {
+            if (fifo.empty()) inj_request_[node] = kRequestNone;
             inj_drained_[node] = 1;
             drained_inj_scratch_.push_back(static_cast<std::int32_t>(node));
         }
@@ -584,6 +612,7 @@ private:
         --out.credits;
         ++f.hop;
         out.pipe.emplace_back(f, now + out.delay);
+        pipe_busy_.set(ci);
         // The launched flit bounds the destination region's clock: the
         // cross-cut lookahead is the channel delay.
         Region& dest = regions_[static_cast<std::size_t>(ch_to_region_[ci])];
@@ -618,7 +647,7 @@ private:
 #ifndef NDEBUG
                 verify_quiet(R);
 #endif
-                next = region_horizon(R);
+                next = region_horizon(ri);
             }
             if (next > now + 1 && next != kNever) ++R.jumps;
             R.next = next;
@@ -653,12 +682,12 @@ private:
     /// earliest and the scan is exact. Evaluated lazily — only when a
     /// quiet region goes to sleep — so the allocator hot path carries no
     /// event-queue bookkeeping.
-    [[nodiscard]] std::int64_t region_horizon(const Region& R) const {
-        std::int64_t next = region_next_injection(R);
-        for (const auto ci : R.in_ch) {
-            const auto& pipe = channels_[static_cast<std::size_t>(ci)].pipe;
-            if (!pipe.empty()) next = std::min(next, pipe.front().second);
-        }
+    [[nodiscard]] std::int64_t region_horizon(const std::size_t ri) const {
+        std::int64_t next = region_next_injection(regions_[ri]);
+        pipe_busy_.for_each([&](const std::size_t ci) {
+            if (static_cast<std::size_t>(ch_to_region_[ci]) == ri)
+                next = std::min(next, channels_[ci].pipe.front().second);
+        });
         return next;
     }
 
@@ -710,6 +739,11 @@ private:
     std::vector<std::int32_t> ch_request_;   ///< Request table: channel FIFOs.
     std::vector<std::int8_t> channel_drained_;
     std::vector<std::int8_t> inj_drained_;
+    ChannelSet pipe_busy_;      ///< Channels with a flit in the link pipeline.
+    ChannelSet fifo_occupied_;  ///< Channels with a flit in the input FIFO.
+    /// Outputs a participating head flit requests this cycle; empty
+    /// between cycles (allocation drains it).
+    ChannelSet requested_;
 
     std::vector<Region> regions_;
     std::vector<std::int32_t> ch_from_region_;  ///< Channel -> upstream region.
@@ -717,7 +751,6 @@ private:
     /// Per-cycle scratch, all cleared by finish_cycle()/allocate_awake().
     std::vector<std::int32_t> awake_;        ///< Regions running full phases.
     std::vector<std::int32_t> alloc_extra_;  ///< Sleepers woken for allocation.
-    std::vector<std::size_t> cursor_;        ///< Merge cursor per region.
     std::vector<std::int8_t> is_awake_;
     std::vector<std::int8_t> in_alloc_;
     std::vector<std::int8_t> region_active_;
@@ -730,6 +763,7 @@ private:
     std::int64_t delivered_packets_ = 0;
     std::int64_t in_flight_flits_ = 0;
     std::int64_t injected_flits_ = 0;
+    std::int64_t outputs_scanned_ = 0;  ///< allocate_output calls.
 };
 
 }  // namespace
@@ -749,6 +783,34 @@ std::optional<SimCore> sim_core_from_name(std::string_view name) {
         return SimCore::kEventHorizon;
     if (name == "regional") return SimCore::kRegional;
     return std::nullopt;
+}
+
+std::uint32_t result_hash(const SimResult& r) {
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    const auto mixd = [&mix](double d) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, &d, sizeof v);
+        mix(v);
+    };
+    mix(static_cast<std::uint64_t>(r.cycles));
+    mix(static_cast<std::uint64_t>(r.packets));
+    mix(static_cast<std::uint64_t>(r.flits));
+    mix(static_cast<std::uint64_t>(r.flit_hops));
+    mix(r.completed ? 1 : 0);
+    mix(static_cast<std::uint64_t>(r.packet_latency.count()));
+    mixd(r.packet_latency.mean());
+    mixd(r.packet_latency.variance());
+    mixd(r.packet_latency.min());
+    mixd(r.packet_latency.max());
+    for (const auto v : r.router_flits) mix(static_cast<std::uint64_t>(v));
+    for (const auto v : r.link_flits) mix(static_cast<std::uint64_t>(v));
+    return static_cast<std::uint32_t>(h ^ (h >> 32));
 }
 
 SimCore resolved_sim_core(SimCore configured) {

@@ -128,6 +128,12 @@ struct SimResult {
     std::int64_t region_stepped_min = 0;     ///< Coolest region's participations.
 };
 
+/// FNV-1a digest of the semantic SimResult fields (everything the
+/// cross-core bit-identicality contract covers; engine-work statistics
+/// excluded), folded to 32 bits so it survives a JSON round trip as an
+/// exact double. Tests and benches pin simulator results with it.
+[[nodiscard]] std::uint32_t result_hash(const SimResult& r);
+
 /// Cycle-driven wormhole network simulator.
 ///
 /// Packets are source-routed along RouteTable paths; each router output is

@@ -9,9 +9,16 @@
 /// — and they must prove the fast path is both accounted (global
 /// stepped + skipped == cycles; per-region stepped + skipped ==
 /// regions * cycles) and not slower than the reference in executed cycles.
+///
+/// Every core runs the same active-set phase scans, so the cross-core
+/// differential alone cannot catch a scan bug that all cores share. Each
+/// case therefore also pins its result_hash to an exact golden captured
+/// from the dense-scan engine the active sets replaced.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -73,12 +80,13 @@ void expect_conserved(const SimResult& r, const std::string& label) {
 }
 
 /// The differential contract: semantic fields bit-identical across every
-/// core, engine-work statistics internally consistent and no worse than
-/// the reference.
+/// core and equal to the golden digest, engine-work statistics internally
+/// consistent and no worse than the reference.
 void expect_equivalent(const topo::Topology& t, const RouteTable& rt,
                        const std::vector<Demand>& demands, const SimConfig& cfg,
-                       const std::string& label) {
+                       const std::string& label, const std::uint32_t golden) {
     const auto ref = run_with(t, rt, demands, cfg, SimCore::kReference);
+    EXPECT_EQ(result_hash(ref), golden) << label;
     expect_conserved(ref, label + " [reference]");
     // The single-clock cores report one region spanning the fabric.
     EXPECT_EQ(ref.regions, 1) << label;
@@ -108,13 +116,38 @@ void expect_equivalent(const topo::Topology& t, const RouteTable& rt,
         // The fast cores' no-op proofs subsume the reference's
         // idle-gap-only rule, so they can never execute more cycles.
         EXPECT_LE(fast.cycles_stepped, ref.cycles_stepped) << tag;
-        if (core == SimCore::kEventHorizon)
+        if (core == SimCore::kEventHorizon) {
             EXPECT_EQ(fast.regions, 1) << tag;
+        }
     }
 }
 
+// Golden digests, in each test's loop order.
+constexpr std::uint32_t kMeshGoldens[] = {
+    3346873852u, 3978546127u, 2368560567u, 3400440378u, 500036772u,  3162833844u,
+    1872184860u, 884526765u,  1493680535u, 2746782201u, 2563342790u, 3487816685u,
+    526543980u,  1767459383u, 1689020377u, 3016252196u, 4057080734u, 1105955080u,
+    1940935240u, 304918817u,  3838352267u, 2447807484u, 2161999897u, 567891398u,
+    1451682783u, 819599519u,  1267756486u, 1299399556u, 1398929417u, 3288789465u,
+    1853198843u, 3147489302u};
+constexpr std::uint32_t kIrregularGoldens[] = {167060150u,  3445898544u, 4237119353u,
+                                               3495064357u, 1344147183u, 1950208826u,
+                                               1345167059u, 1603017839u};
+constexpr std::uint32_t kDeepPipelineGoldens[] = {1252950798u, 3357152767u, 4047592693u,
+                                                  1786546848u};
+constexpr std::uint32_t kCappedGoldens[] = {2470349476u, 2937321675u, 3267674091u,
+                                            3931745990u, 423770814u,  859168224u,
+                                            3632913269u, 3477019748u, 859168224u};
+constexpr std::uint32_t kHotspotGolden = 1310636534u;
+constexpr std::uint32_t kSaturatedDrainGolden = 1938920256u;
+constexpr std::uint32_t kCornerBurstGolden = 616452928u;
+constexpr std::uint32_t kForcedRegionsGolden = 81616538u;
+/// bench_skip_traffic's saturated corner drain (its drain_*_result_hash).
+constexpr std::uint32_t kSkipTrafficDrainGolden = 539005283u;
+
 TEST(EventHorizon, DifferentialMatrixOnMesh) {
     const auto t = topo::make_mesh(5, 5);
+    std::size_t k = 0;
     for (const auto policy :
          {RoutingPolicy::kShortestPath, RoutingPolicy::kUpDown}) {
         const auto rt = RouteTable::build(t, policy);
@@ -129,11 +162,13 @@ TEST(EventHorizon, DifferentialMatrixOnMesh) {
                         t, rt, random_demands(25, seed, 60, 320), cfg,
                         "mesh policy=" + std::to_string(static_cast<int>(policy)) +
                             " depth=" + std::to_string(depth) + " seed=" +
-                            std::to_string(seed) + " rate=" + std::to_string(rate));
+                            std::to_string(seed) + " rate=" + std::to_string(rate),
+                        kMeshGoldens[k++]);
                 }
             }
         }
     }
+    EXPECT_EQ(k, std::size(kMeshGoldens));
 }
 
 TEST(EventHorizon, DifferentialOnIrregularTopologies) {
@@ -144,6 +179,7 @@ TEST(EventHorizon, DifferentialOnIrregularTopologies) {
         const topo::Topology* t;
         std::int32_t nodes;
     };
+    std::size_t k = 0;
     for (const auto& c : {Case{&swap, 36}, Case{&floret, 64}}) {
         const auto rt = RouteTable::build(*c.t, RoutingPolicy::kUpDown);
         for (std::int32_t depth = 1; depth <= 4; ++depth) {
@@ -153,9 +189,11 @@ TEST(EventHorizon, DifferentialOnIrregularTopologies) {
             cfg.injection_rate = depth % 2 == 0 ? 8.0 : 0.01;
             expect_equivalent(*c.t, rt, random_demands(c.nodes, 7 + depth, 80, 480),
                               cfg,
-                              c.t->name() + " depth=" + std::to_string(depth));
+                              c.t->name() + " depth=" + std::to_string(depth),
+                              kIrregularGoldens[k++]);
         }
     }
+    EXPECT_EQ(k, std::size(kIrregularGoldens));
 }
 
 TEST(EventHorizon, DifferentialOnDeepPipelines) {
@@ -172,8 +210,9 @@ TEST(EventHorizon, DifferentialOnDeepPipelines) {
         cfg.input_buffer_flits = depth;
         cfg.injection_rate = 1.0;
         const auto demands = random_demands(5, 41 + depth, 30, 640);
-        expect_equivalent(t, rt, demands, cfg, "longline depth=" +
-                                                   std::to_string(depth));
+        expect_equivalent(t, rt, demands, cfg,
+                          "longline depth=" + std::to_string(depth),
+                          kDeepPipelineGoldens[depth - 1]);
         // Congested drains on deep pipes are exactly where the credit-aware
         // proof must beat cycle stepping outright.
         const auto fast = run_with(t, rt, demands, cfg, SimCore::kEventHorizon);
@@ -185,6 +224,7 @@ TEST(EventHorizon, DifferentialOnDeepPipelines) {
 TEST(EventHorizon, DifferentialOnCappedRuns) {
     const auto t = topo::make_mesh(4, 4);
     const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
+    std::size_t k = 0;
     for (const std::int64_t cap : {100, 2'000, 50'000}) {
         for (const double rate : {1e-4, 0.05, 8.0}) {
             SimConfig cfg;
@@ -193,9 +233,11 @@ TEST(EventHorizon, DifferentialOnCappedRuns) {
             cfg.input_buffer_flits = 2;
             expect_equivalent(t, rt, random_demands(16, 5, 40, 320), cfg,
                               "cap=" + std::to_string(cap) +
-                                  " rate=" + std::to_string(rate));
+                                  " rate=" + std::to_string(rate),
+                              kCappedGoldens[k++]);
         }
     }
+    EXPECT_EQ(k, std::size(kCappedGoldens));
 }
 
 TEST(EventHorizon, SkipsCreditBlockedWindows) {
@@ -212,7 +254,7 @@ TEST(EventHorizon, SkipsCreditBlockedWindows) {
     std::vector<Demand> demands;
     for (topo::NodeId n = 0; n < 25; ++n)
         if (n != 12) demands.push_back({n, 12, 400});
-    expect_equivalent(t, rt, demands, cfg, "hotspot");
+    expect_equivalent(t, rt, demands, cfg, "hotspot", kHotspotGolden);
     const auto fast = run_with(t, rt, demands, cfg, SimCore::kEventHorizon);
     EXPECT_GT(fast.horizon_jumps, 0);
 }
@@ -233,7 +275,7 @@ TEST(EventHorizon, SaturatedDrainSleepsColdRegions) {
     std::vector<Demand> demands;
     for (const topo::NodeId src : {9, 44, 55, 90, 99})
         demands.push_back({src, 0, 8 * 1024});
-    expect_equivalent(t, rt, demands, cfg, "saturated drain");
+    expect_equivalent(t, rt, demands, cfg, "saturated drain", kSaturatedDrainGolden);
 
     const auto regional = run_with(t, rt, demands, cfg, SimCore::kRegional);
     EXPECT_GT(regional.regions, 1);
@@ -260,7 +302,7 @@ TEST(EventHorizon, CornerToCornerBurstHotspot) {
     cfg.input_buffer_flits = 1;  // maximum backpressure along the path
     cfg.injection_rate = 8.0;
     const std::vector<Demand> demands{{0, 63, 16 * 1024}};
-    expect_equivalent(t, rt, demands, cfg, "corner burst");
+    expect_equivalent(t, rt, demands, cfg, "corner burst", kCornerBurstGolden);
 
     const auto regional = run_with(t, rt, demands, cfg, SimCore::kRegional);
     EXPECT_GT(regional.regions, 1);
@@ -287,6 +329,7 @@ TEST(EventHorizon, ForcedRegionCountsPreserveResults) {
         cfg.regions = regions;
         const auto r = run_with(t, rt, demands, cfg, SimCore::kRegional);
         const std::string tag = "forced regions=" + std::to_string(regions);
+        EXPECT_EQ(result_hash(r), kForcedRegionsGolden) << tag;
         EXPECT_EQ(r.cycles, ref.cycles) << tag;
         EXPECT_EQ(r.packets, ref.packets) << tag;
         EXPECT_EQ(r.flit_hops, ref.flit_hops) << tag;
@@ -296,6 +339,22 @@ TEST(EventHorizon, ForcedRegionCountsPreserveResults) {
         expect_conserved(r, tag);
         EXPECT_LE(r.cycles_stepped, ref.cycles_stepped) << tag;
     }
+}
+
+TEST(EventHorizon, SkipTrafficDrainMatchesGolden) {
+    // bench_skip_traffic's saturated corner drain: five sources next to
+    // the sink flood it through 2-flit buffers for ~37k cycles.
+    const auto t = topo::make_mesh(10, 10);
+    const auto rt = RouteTable::build(t, RoutingPolicy::kShortestPath);
+    SimConfig cfg;
+    cfg.max_cycles = 2'000'000;
+    cfg.input_buffer_flits = 2;
+    cfg.injection_rate = 8.0;
+    std::vector<Demand> demands;
+    for (const topo::NodeId src : {1, 2, 10, 11, 20})
+        demands.push_back({src, 0, 64 * 1024});
+    expect_equivalent(t, rt, demands, cfg, "skip-traffic drain",
+                      kSkipTrafficDrainGolden);
 }
 
 TEST(EventHorizon, StatisticsAreZeroWorkOnEmptyRun) {

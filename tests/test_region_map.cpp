@@ -42,13 +42,15 @@ void expect_valid(const Topology& t, const RegionMap& m) {
 }
 
 TEST(RegionMap, AutoTilingCoversMeshes) {
-    for (const auto [w, h] : {std::pair{4, 4}, {10, 10}, {1, 7}, {16, 2}}) {
+    for (const auto& [w, h] : {std::pair{4, 4}, {10, 10}, {1, 7}, {16, 2}}) {
         const auto t = make_mesh(w, h);
         const auto m = make_region_map(t);
         expect_valid(t, m);
         // Auto mode aims at ~8-node tiles, capped at 64 regions.
         EXPECT_LE(m.count, 64) << w << "x" << h;
-        if (t.node_count() >= 16) EXPECT_GT(m.count, 1) << w << "x" << h;
+        if (t.node_count() >= 16) {
+            EXPECT_GT(m.count, 1) << w << "x" << h;
+        }
     }
 }
 
