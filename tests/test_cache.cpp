@@ -152,6 +152,41 @@ TEST(SpecHash, DistinguishesRegisteredScenarios) {
         << "two registered scenarios with different specs hash equal";
 }
 
+TEST(SpecHash, BuiltinScenarioHashesArePinned) {
+    // Absolute identities: the full spec_hash of every builtin scenario
+    // (the prefixes --list prints) and the point_hash of the first point
+    // of each cacheable kind. A change here means the canonical spec
+    // serialization changed bytes, which orphans every result-cache entry
+    // and fleet row frame; such a change must bump kCacheFormatVersion
+    // and say why.
+    const std::vector<std::pair<std::string, std::uint64_t>> golden{
+        {"fig2", 0x6b22f48fd91e185aULL},
+        {"fig3", 0x671e4441dd8fb5f6ULL},
+        {"fig4", 0x9c5c87e609b63333ULL},
+        {"fig5", 0x671e4441dd8fb5f6ULL},
+        {"table2", 0x671e4441dd8fb5f6ULL},
+        {"serving", 0x6aad0623bfe0e33dULL},
+        {"fig6", 0x1d6cdf51698058f7ULL},
+        {"fig7", 0x57fea40847f68df4ULL},
+        {"m3d_vs_tsv", 0x0a49036fa8534ea2ULL},
+        {"hetero_transformer", 0x015a2b8eca196149ULL},
+        {"transformer_storage", 0x27a0974695dac93aULL},
+        {"ablation_scaling", 0xf0fa1bca6bbc1006ULL},
+        {"cluster", 0x5ae6e38a7e1b89f4ULL},
+    };
+    const auto& reg = Registry::builtin();
+    ASSERT_EQ(reg.scenarios().size(), golden.size());
+    for (const auto& [name, hash] : golden)
+        EXPECT_EQ(spec_hash(reg.at(name).spec), hash) << name;
+
+    const auto fig3 = cacheable_points(reg.at("fig3").spec);
+    ASSERT_TRUE(fig3 && !fig3->empty());
+    EXPECT_EQ(point_hash(fig3->front()), 0xabf5872448b54803ULL);
+    const auto scaling = cacheable_points(reg.at("ablation_scaling").spec);
+    ASSERT_TRUE(scaling && !scaling->empty());
+    EXPECT_EQ(point_hash(scaling->front()), 0x1dadfaf339ee7cafULL);
+}
+
 TEST(PointHash, StableForEqualPointsSensitiveToEveryField) {
     const auto points = tiny_spec().expand();
     ASSERT_GE(points.size(), 2u);
