@@ -680,7 +680,7 @@ std::unique_ptr<core::RowStream> Coordinator::run_sweep(
     const std::string rows_path = run.rows_path;
     const std::string points_path = run.points_path;
     return std::make_unique<scenario::MergedRowFileStream>(
-        std::vector<std::string>{rows_path}, points.size(),
+        rows_path, points.size(),
         [rows_path, points_path] {
             (void)std::remove(rows_path.c_str());
             (void)std::remove(points_path.c_str());

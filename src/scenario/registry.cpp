@@ -63,32 +63,29 @@ std::pair<std::int32_t, std::int32_t> parse_grid(std::string_view key,
     }
 }
 
-std::vector<core::experiment::Arch> parse_archs(std::string_view key,
-                                                std::string_view value) {
-    std::vector<core::experiment::Arch> archs;
-    for (const auto& name : split_csv(value)) {
-        try {
-            archs.push_back(arch_from_string(name));
-        } catch (const std::invalid_argument& e) {
-            bad_value(key, value, e.what());
-        }
-    }
-    if (archs.empty()) bad_value(key, value, "empty architecture list");
-    return archs;
+std::int32_t parse_int32(std::string_view key, std::string_view value) {
+    const std::int64_t v = parse_int(key, value);
+    if (v < INT32_MIN || v > INT32_MAX) bad_value(key, value, "out of int32 range");
+    return static_cast<std::int32_t>(v);
 }
 
-std::vector<std::int32_t> parse_positive_int32_list(std::string_view key,
-                                                    std::string_view value,
-                                                    const char* what) {
-    std::vector<std::int32_t> out;
-    for (const auto& item : split_csv(value)) {
-        const std::int64_t v = parse_int(key, item);
-        if (v <= 0 || v > INT32_MAX)
-            bad_value(key, value,
-                      std::string(what) + " must be a positive int32");
-        out.push_back(static_cast<std::int32_t>(v));
+/// Runs a name lookup, re-throwing its error under the --set prefix.
+template <typename Fn>
+auto parse_with(std::string_view key, std::string_view value, Fn&& fn) {
+    try {
+        return fn();
+    } catch (const std::invalid_argument& e) {
+        bad_value(key, value, e.what());
     }
-    if (out.empty()) bad_value(key, value, std::string("empty ") + what + " list");
+}
+
+/// Parses a comma-separated value item by item; naming no item at all is
+/// a usage error.
+template <typename Parse>
+auto parse_list(std::string_view key, std::string_view value, Parse&& parse) {
+    std::vector<decltype(parse(std::string_view{}))> out;
+    for (const auto& item : split_csv(value)) out.push_back(parse(item));
+    if (out.empty()) bad_value(key, value, "empty list");
     return out;
 }
 
@@ -274,8 +271,12 @@ std::string override_keys_help() {
            "iterations, workloads, models, batches, sides, lambdas";
 }
 
-bool apply_override(SpecVariant& spec, std::string_view key,
-                    std::string_view value) {
+namespace {
+
+/// The --set key table: parses `value` and stores it in every field the
+/// key names. Range checks are left to validate(), which apply_override
+/// runs on the result.
+bool set_field(SpecVariant& spec, std::string_view key, std::string_view value) {
     auto* sweep = std::get_if<core::SweepSpec>(&spec);
     auto* grid = std::get_if<ServeGridSpec>(&spec);
     auto* cluster = std::get_if<ClusterSpec>(&spec);
@@ -286,11 +287,14 @@ bool apply_override(SpecVariant& spec, std::string_view key,
     // apply identically to both.
     serve::ServeSpec* serve_base =
         grid ? &grid->base : (cluster ? &cluster->base : nullptr);
+    const auto int32_list = [&] {
+        return parse_list(key, value,
+                          [&](std::string_view v) { return parse_int32(key, v); });
+    };
 
     if (key == "grid" || key == "grids") {
-        std::vector<std::pair<std::int32_t, std::int32_t>> grids;
-        for (const auto& g : split_csv(value)) grids.push_back(parse_grid(key, g));
-        if (grids.empty()) bad_value(key, value, "empty grid list");
+        auto grids = parse_list(key, value,
+                                [&](std::string_view g) { return parse_grid(key, g); });
         if (sweep) {
             sweep->grids = std::move(grids);
             return true;
@@ -316,7 +320,10 @@ bool apply_override(SpecVariant& spec, std::string_view key,
         return false;
     }
     if (key == "archs") {
-        auto archs = parse_archs(key, value);
+        auto archs = parse_list(key, value, [&](std::string_view name) {
+            return parse_with(key, value,
+                              [&] { return arch_from_string(std::string(name)); });
+        });
         if (sweep) {
             sweep->archs = std::move(archs);
             return true;
@@ -340,44 +347,32 @@ bool apply_override(SpecVariant& spec, std::string_view key,
     }
     if (key == "mixes") {
         if (!sweep) return false;
-        std::vector<workload::ConcurrentMix> mixes;
-        for (const auto& name : split_csv(value)) {
-            try {
-                mixes.push_back(mix_from_json(util::Json(name)));
-            } catch (const std::invalid_argument& e) {
-                bad_value(key, value, e.what());
-            }
-        }
-        if (mixes.empty()) bad_value(key, value, "empty mix list");
-        sweep->mixes = std::move(mixes);
+        sweep->mixes = parse_list(key, value, [&](std::string_view name) {
+            return parse_with(key, value, [&] {
+                return mix_from_json(util::Json(std::string(name)));
+            });
+        });
         return true;
     }
     if (key == "traffic_scale") {
         const double scale = parse_ratio(key, value);
-        if (scale <= 0.0 || scale > 1.0)
-            bad_value(key, value, "traffic scale must be in (0, 1]");
         return mutate_evals(spec,
                             [&](core::EvalConfig& e) { e.traffic_scale = scale; });
     }
     if (key == "max_cycles") {
         const std::int64_t cap = parse_int(key, value);
-        if (cap <= 0) bad_value(key, value, "cycle cap must be positive");
         return mutate_evals(spec,
                             [&](core::EvalConfig& e) { e.sim.max_cycles = cap; });
     }
     if (key == "injection_rate") {
         const double rate = parse_double(key, value);
-        if (rate <= 0.0) bad_value(key, value, "injection rate must be positive");
         return mutate_evals(
             spec, [&](core::EvalConfig& e) { e.sim.injection_rate = rate; });
     }
     if (key == "sim_core") {
-        noc::SimCore core = noc::SimCore::kEventHorizon;
-        try {
-            core = sim_core_from_json(util::Json(std::string(value)));
-        } catch (const std::invalid_argument& e) {
-            bad_value(key, value, e.what());
-        }
+        const noc::SimCore core = parse_with(key, value, [&] {
+            return sim_core_from_json(util::Json(std::string(value)));
+        });
         return mutate_evals(spec, [&](core::EvalConfig& e) { e.sim.core = core; });
     }
     if (key == "swap_seed") {
@@ -397,19 +392,17 @@ bool apply_override(SpecVariant& spec, std::string_view key,
         return false;
     }
     if (key == "greedy_max_gap") {
-        const std::int64_t gap = parse_int(key, value);
-        if (gap < INT32_MIN || gap > INT32_MAX)
-            bad_value(key, value, "out of int32 range");
+        const std::int32_t gap = parse_int32(key, value);
         if (sweep) {
-            sweep->greedy_max_gap = static_cast<std::int32_t>(gap);
+            sweep->greedy_max_gap = gap;
             return true;
         }
         if (serve_base) {
-            serve_base->greedy_max_gap = static_cast<std::int32_t>(gap);
+            serve_base->greedy_max_gap = gap;
             return true;
         }
         if (scaling) {
-            scaling->greedy_max_gap = static_cast<std::int32_t>(gap);
+            scaling->greedy_max_gap = gap;
             return true;
         }
         return false;
@@ -421,79 +414,51 @@ bool apply_override(SpecVariant& spec, std::string_view key,
     }
     if (key == "iterations") {
         if (!moo) return false;
-        const std::int64_t n = parse_int(key, value);
-        if (n < 0 || n > INT32_MAX)
-            bad_value(key, value, "iteration count must be a non-negative int32");
-        moo->iterations = static_cast<std::int32_t>(n);
+        moo->iterations = parse_int32(key, value);
         return true;
     }
     if (key == "workloads") {
         if (!moo) return false;
-        std::vector<std::string> ids;
-        for (const auto& id : split_csv(value)) {
-            try {
-                (void)workload::workload_by_id(id);
-            } catch (const std::exception& e) {
-                bad_value(key, value, e.what());
-            }
-            ids.push_back(id);
-        }
-        if (ids.empty()) bad_value(key, value, "empty workload list");
-        moo->workloads = std::move(ids);
+        moo->workloads =
+            parse_list(key, value, [](std::string_view id) { return std::string(id); });
         return true;
     }
     if (key == "models") {
         if (!transformer) return false;
-        std::vector<std::string> models;
-        for (const auto& name : split_csv(value)) {
-            try {
-                (void)transformer_model_from_name(name);
-            } catch (const std::invalid_argument& e) {
-                bad_value(key, value, e.what());
-            }
-            models.push_back(ascii_lower(name));
-        }
-        if (models.empty()) bad_value(key, value, "empty model list");
-        transformer->models = std::move(models);
+        transformer->models = parse_list(key, value, [](std::string_view name) {
+            return ascii_lower(std::string(name));
+        });
         return true;
     }
     if (key == "batches") {
         if (!transformer) return false;
-        transformer->batches = parse_positive_int32_list(key, value, "batch");
+        transformer->batches = int32_list();
         return true;
     }
     if (key == "sides") {
         if (!scaling) return false;
-        scaling->sides = parse_positive_int32_list(key, value, "side");
+        scaling->sides = int32_list();
         return true;
     }
     if (key == "lambdas") {
         if (!scaling) return false;
-        scaling->lambdas = parse_positive_int32_list(key, value, "lambda");
+        scaling->lambdas = int32_list();
         return true;
     }
     if (key == "max_requests") {
         if (!serve_base) return false;
-        const std::int64_t n = parse_int(key, value);
-        if (n <= 0) bad_value(key, value, "request count must be positive");
-        serve_base->config.arrivals.max_requests = n;
+        serve_base->config.arrivals.max_requests = parse_int(key, value);
         return true;
     }
     if (key == "replications") {
         if (!serve_base) return false;
-        const std::int64_t n = parse_int(key, value);
-        if (n <= 0 || n > INT32_MAX)
-            bad_value(key, value, "replication count must be a positive int32");
-        serve_base->replications = static_cast<std::int32_t>(n);
+        serve_base->replications = parse_int32(key, value);
         return true;
     }
     if (key == "loads") {
         if (!grid && !cluster) return false;
-        std::vector<double> loads;
-        for (const auto& l : split_csv(value)) loads.push_back(parse_double(key, l));
-        if (loads.empty()) bad_value(key, value, "empty load list");
-        for (const double l : loads)
-            if (l <= 0.0) bad_value(key, value, "offered loads must be positive");
+        auto loads = parse_list(key, value,
+                                [&](std::string_view l) { return parse_double(key, l); });
         if (grid)
             grid->loads_per_mcycle = std::move(loads);
         else
@@ -502,27 +467,36 @@ bool apply_override(SpecVariant& spec, std::string_view key,
     }
     if (key == "fabrics") {
         if (!cluster) return false;
-        cluster->cluster_sizes =
-            parse_positive_int32_list(key, value, "cluster size");
+        cluster->cluster_sizes = int32_list();
         return true;
     }
     if (key == "max_batch") {
         if (!cluster) return false;
-        cluster->batch_caps = parse_positive_int32_list(key, value, "batch cap");
+        cluster->batch_caps = int32_list();
         return true;
     }
     if (key == "balance") {
         if (!cluster) return false;
-        try {
-            cluster->balance =
-                balance_policy_from_json(util::Json(std::string(value)));
-        } catch (const std::invalid_argument& e) {
-            bad_value(key, value, e.what());
-        }
+        cluster->balance = parse_with(key, value, [&] {
+            return balance_policy_from_json(util::Json(std::string(value)));
+        });
         return true;
     }
     throw std::invalid_argument("--set: unknown key \"" + std::string(key) +
                                 "\" (supported: " + override_keys_help() + ")");
+}
+
+}  // namespace
+
+bool apply_override(SpecVariant& spec, std::string_view key,
+                    std::string_view value) {
+    // Mutate a copy, so a rejected value leaves the caller's spec intact.
+    SpecVariant next = spec;
+    if (!set_field(next, key, value)) return false;
+    parse_with(key, value,
+               [&] { std::visit([](const auto& s) { validate(s); }, next); });
+    spec = std::move(next);
+    return true;
 }
 
 }  // namespace floretsim::scenario

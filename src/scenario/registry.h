@@ -119,11 +119,15 @@ void set_seed(SpecVariant& spec, std::uint64_t seed);
 /// Reports record it as run_info provenance; 0 for seedless kinds.
 [[nodiscard]] std::uint64_t effective_seed(const SpecVariant& spec);
 
-/// Applies one `--set key=value` override in place. Returns false when
-/// the key is recognized but meaningless for this spec kind (e.g.
-/// max_requests on a batch sweep, seed on a Transformer study) so the
-/// caller can insist that every override lands somewhere; throws
-/// std::invalid_argument for unknown keys or malformed values. Supported
+/// Applies one `--set key=value` override in place, then runs the spec
+/// kind's validate() (spec_json.h) on the result, so --set accepts
+/// exactly the values a spec file does.
+/// Returns false when the key is recognized but meaningless for this
+/// spec kind (e.g. max_requests on a batch sweep, seed on a Transformer
+/// study) so the caller can insist that every override lands somewhere;
+/// throws std::invalid_argument for unknown keys and, prefixed
+/// "--set key=value: ", for malformed values or a spec validate()
+/// rejects (the spec is then left unchanged). Supported
 /// keys: grid, grids, archs, mixes, traffic_scale (accepts "1/128"),
 /// max_cycles, injection_rate, sim_core, swap_seed, greedy_max_gap, seed,
 /// max_requests, replications, loads, fabrics, max_batch, balance,

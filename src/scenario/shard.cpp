@@ -98,23 +98,16 @@ std::string self_exe_path(const char* argv0) {
     return argv0 ? argv0 : "floretsim_run";
 }
 
-std::int32_t clamp_worker_threads(std::int32_t requested, std::size_t n_points,
-                                  std::ostream& err) {
+std::int32_t clamp_worker_threads(std::int32_t requested, std::ostream& err) {
     if (requested < 0)
         throw std::invalid_argument("--threads must be >= 0, got " +
                                     std::to_string(requested));
-    if (requested == 0) return 0;  // hardware concurrency
-    std::int32_t limit = kMaxWorkerThreads;
-    if (n_points > 0 && n_points < static_cast<std::size_t>(limit))
-        limit = static_cast<std::int32_t>(n_points);
-    if (requested > limit) {
-        err << "worker: clamping --threads " << requested << " to " << limit
-            << " (" << (limit == kMaxWorkerThreads ? "worker thread cap"
-                                                   : "one thread per point")
-            << ")\n";
-        return limit;
+    if (requested > kMaxWorkerThreads) {
+        err << "worker: clamping --threads " << requested << " to "
+            << kMaxWorkerThreads << " (worker thread cap)\n";
+        return kMaxWorkerThreads;
     }
-    return requested;
+    return requested;  // 0: hardware concurrency
 }
 
 // ---- The worker protocol ----------------------------------------------------
@@ -251,99 +244,74 @@ StreamLine stream_line_from(std::string_view line) {
 
 // ---- The streaming row merge ------------------------------------------------
 
-MergedRowFileStream::MergedRowFileStream(std::vector<std::string> row_paths,
-                                         std::size_t n_points,
+MergedRowFileStream::MergedRowFileStream(std::string row_path, std::size_t n_points,
                                          std::function<void()> cleanup)
-    : row_paths_(std::move(row_paths)), cleanup_(std::move(cleanup)) {
-    locs_.assign(n_points, Loc{});
+    : cleanup_(std::move(cleanup)), row_path_(std::move(row_path)), file_(row_path_) {
+    if (!file_) throw std::runtime_error(row_path_ + ": row file missing");
+    offsets_.assign(n_points, 0);
     std::vector<char> seen(n_points, 0);
-    // One indexing pass per file: record where every point's row starts,
-    // so next() can seek straight to it. Rows land in completion order
-    // inside each file — the offsets are what turn that back into point
-    // order without holding any parsed row.
-    for (std::size_t s = 0; s < row_paths_.size(); ++s) {
-        auto f = std::make_unique<std::ifstream>(row_paths_[s]);
-        if (!*f)
-            throw std::runtime_error("shard " + std::to_string(s) + "/" +
-                                     std::to_string(row_paths_.size()) +
-                                     ": row file missing");
-        std::string line;
-        std::uint64_t offset = 0;
-        while (std::getline(*f, line)) {
-            const std::uint64_t line_start = offset;
-            offset += line.size() + 1;  // +1: the '\n' getline consumed
-            std::string_view text(line);
-            while (!text.empty() && text.back() == '\r') text.remove_suffix(1);
-            if (text.empty()) continue;
-            try {
-                // Index-only parse: pull out the point index, defer the
-                // (allocation-heavy) row conversion to next(). Heartbeat
-                // envelopes share the stream protocol and are skipped.
-                const util::Json j = util::json_parse(text);
-                if (j.kind() != util::Json::Kind::kObject)
-                    throw std::invalid_argument(
-                        "row line: expected an object, got " +
-                        std::string(j.kind_name()));
-                if (j.find("hb")) {
-                    (void)stream_line_from(text);  // strict heartbeat check
-                    continue;
-                }
-                for (const auto& [key, value] : j.as_object()) {
-                    (void)value;
-                    if (key != "index" && key != "row")
-                        throw std::invalid_argument("row line: unknown key \"" +
-                                                    key + "\"");
-                }
-                const util::Json* index = j.find("index");
-                if (!index || !j.find("row"))
-                    throw std::invalid_argument(
-                        "row line: need both \"index\" and \"row\"");
-                const std::size_t i = static_cast<std::size_t>(index->as_uint());
-                if (i >= n_points)
-                    throw std::invalid_argument(
-                        "row index " + std::to_string(i) + " out of range for " +
-                        std::to_string(n_points) + " points");
-                if (seen[i])
-                    throw std::invalid_argument("duplicate row for point " +
-                                                std::to_string(i));
-                seen[i] = 1;
-                locs_[i] = Loc{static_cast<std::uint32_t>(s), line_start};
-            } catch (const std::invalid_argument& e) {
-                throw std::runtime_error("shard " + std::to_string(s) + "/" +
-                                         std::to_string(row_paths_.size()) +
-                                         ": " + e.what());
+    // One indexing pass: record where every point's row starts, so next()
+    // can seek straight to it. Rows land in completion order — the
+    // offsets are what turn that back into point order without holding
+    // any parsed row.
+    std::string line;
+    std::uint64_t offset = 0;
+    while (std::getline(file_, line)) {
+        const std::uint64_t line_start = offset;
+        offset += line.size() + 1;  // +1: the '\n' getline consumed
+        std::string_view text(line);
+        while (!text.empty() && text.back() == '\r') text.remove_suffix(1);
+        if (text.empty()) continue;
+        try {
+            // Index-only parse: pull out the point index, defer the
+            // (allocation-heavy) row conversion to next(). Heartbeat
+            // envelopes share the stream protocol and are skipped.
+            const util::Json j = util::json_parse(text);
+            if (j.kind() != util::Json::Kind::kObject)
+                throw std::invalid_argument("row line: expected an object, got " +
+                                            std::string(j.kind_name()));
+            if (j.find("hb")) {
+                (void)stream_line_from(text);  // strict heartbeat check
+                continue;
             }
+            for (const auto& [key, value] : j.as_object()) {
+                (void)value;
+                if (key != "index" && key != "row")
+                    throw std::invalid_argument("row line: unknown key \"" + key +
+                                                "\"");
+            }
+            const util::Json* index = j.find("index");
+            if (!index || !j.find("row"))
+                throw std::invalid_argument("row line: need both \"index\" and \"row\"");
+            const std::size_t i = static_cast<std::size_t>(index->as_uint());
+            if (i >= n_points)
+                throw std::invalid_argument("row index " + std::to_string(i) +
+                                            " out of range for " +
+                                            std::to_string(n_points) + " points");
+            if (seen[i])
+                throw std::invalid_argument("duplicate row for point " +
+                                            std::to_string(i));
+            seen[i] = 1;
+            offsets_[i] = line_start;
+        } catch (const std::invalid_argument& e) {
+            throw std::runtime_error(row_path_ + ": " + e.what());
         }
-        f->clear();  // getline hit EOF; next() seeks on this same stream
-        files_.push_back(std::move(f));
     }
+    file_.clear();  // getline hit EOF; next() seeks on this same stream
     for (std::size_t i = 0; i < seen.size(); ++i)
         if (!seen[i])
-            throw std::runtime_error(
-                "shard: no worker returned a row for point " + std::to_string(i));
-    // On any throw above, the already-constructed cleanup_ member is
-    // destroyed during unwinding — the scratch directory never outlives a
-    // failed merge.
-}
-
-MergedRowFileStream::~MergedRowFileStream() {
-    files_.clear();  // close the readers before releasing their directory
-    cleanup_ = nullptr;
+            throw std::runtime_error(row_path_ + ": no worker returned a row for point " +
+                                     std::to_string(i));
 }
 
 std::optional<core::SweepRow> MergedRowFileStream::next() {
-    if (pos_ >= locs_.size()) return std::nullopt;
-    const Loc loc = locs_[pos_];
-    std::istream& f = *files_[loc.file];
-    f.clear();
-    f.seekg(static_cast<std::streamoff>(loc.offset));
+    if (pos_ >= offsets_.size()) return std::nullopt;
+    file_.clear();
+    file_.seekg(static_cast<std::streamoff>(offsets_[pos_]));
     std::string line;
-    if (!std::getline(f, line)) {
-        throw std::runtime_error(
-            "shard " + std::to_string(loc.file) + "/" +
-            std::to_string(row_paths_.size()) + ": row file shrank under point " +
-            std::to_string(pos_));
-    }
+    if (!std::getline(file_, line))
+        throw std::runtime_error(row_path_ + ": row file shrank under point " +
+                                 std::to_string(pos_));
     try {
         // Exactly one parsed row resident at a time — the streaming-merge
         // memory contract (see peak_resident_rows).
@@ -358,9 +326,7 @@ std::optional<core::SweepRow> MergedRowFileStream::next() {
         obs::MetricsRegistry::global().add("shard.rows_merged");
         return std::move(r.row);
     } catch (const std::invalid_argument& e) {
-        throw std::runtime_error("shard " + std::to_string(loc.file) + "/" +
-                                 std::to_string(row_paths_.size()) + ": " +
-                                 e.what());
+        throw std::runtime_error(row_path_ + ": " + e.what());
     }
 }
 

@@ -2,9 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,11 +36,9 @@ namespace floretsim::scenario {
 /// are an error (throws std::invalid_argument — the coordinator must see
 /// the worker die, not silently run serial), 0 keeps the engine's
 /// hardware-concurrency default, and explicit requests are clamped to
-/// [1, min(n_points, kMaxWorkerThreads)] — a thread per point is the most
-/// a worker can use. Clamps are noted on `err`.
+/// kMaxWorkerThreads. Clamps are noted on `err`.
 inline constexpr std::int32_t kMaxWorkerThreads = 256;
 [[nodiscard]] std::int32_t clamp_worker_threads(std::int32_t requested,
-                                                std::size_t n_points,
                                                 std::ostream& err);
 
 // ---- The worker protocol ----------------------------------------------------
@@ -128,31 +126,29 @@ void absorb_worker_obs(const std::string& trace_path,
 /// else `argv0` as given.
 [[nodiscard]] std::string self_exe_path(const char* argv0);
 
-/// Streaming merge over NDJSON row files: one up-front indexing
-/// scan per file records each point's (file, byte offset) — validating
-/// that every point has exactly one row and skipping heartbeat envelopes
-/// — and next() then seeks and parses ONE line per call, yielding rows in
-/// point order. Coordinator memory is O(points) small fixed-size index
-/// entries plus a single resident row, never O(rows) of parsed results —
-/// the property that lets a million-point sweep merge in constant memory,
-/// pinned by peak_resident_rows() in the shard tests. The indexing scan
-/// throws std::runtime_error (naming the row file's position) on an
-/// unreadable file, an unparseable line, an out-of-range index, or a
-/// duplicate/missing point. `cleanup` is an opaque owner of whatever must
-/// stay alive while rows are being read (the coordinator's scratch
-/// directory): it is released — running its captured destructors — when
-/// the stream is destroyed or its construction fails, so the directory
-/// disappears even when the consumer abandons the stream mid-iteration.
+/// Streaming merge over an NDJSON row file: one up-front indexing scan
+/// records each point's byte offset — validating that every point has
+/// exactly one row and skipping heartbeat envelopes — and next() then
+/// seeks and parses ONE line per call, yielding rows in point order.
+/// Coordinator memory is O(points) small fixed-size offsets plus a single
+/// resident row, never O(rows) of parsed results — the property that lets
+/// a million-point sweep merge in constant memory, pinned by
+/// peak_resident_rows() in the shard tests. The indexing scan throws
+/// std::runtime_error (naming the row file) on an unreadable file, an
+/// unparseable line, an out-of-range index, or a duplicate/missing point.
+/// `cleanup` runs, and is then released with whatever it captured, when
+/// the stream is destroyed or its construction fails: the coordinator
+/// passes one that deletes its scratch files, so they disappear even when
+/// the consumer abandons the stream mid-iteration. It must not throw.
 class MergedRowFileStream final : public core::RowStream {
 public:
-    MergedRowFileStream(std::vector<std::string> row_paths, std::size_t n_points,
+    MergedRowFileStream(std::string row_path, std::size_t n_points,
                         std::function<void()> cleanup = {});
-    ~MergedRowFileStream() override;
     MergedRowFileStream(const MergedRowFileStream&) = delete;
     MergedRowFileStream& operator=(const MergedRowFileStream&) = delete;
 
     [[nodiscard]] std::optional<core::SweepRow> next() override;
-    [[nodiscard]] std::size_t size() const override { return locs_.size(); }
+    [[nodiscard]] std::size_t size() const override { return offsets_.size(); }
 
     /// The most parsed rows this stream ever held at once — 1 by
     /// construction; a regression back to materialize-then-merge would
@@ -160,14 +156,24 @@ public:
     [[nodiscard]] std::size_t peak_resident_rows() const { return peak_resident_; }
 
 private:
-    struct Loc {
-        std::uint32_t file = 0;
-        std::uint64_t offset = 0;
+    /// Runs the cleanup callback when destroyed. Declared first, so it
+    /// runs last: after file_ is closed, and also when construction fails.
+    class Cleanup {
+    public:
+        explicit Cleanup(std::function<void()> fn) : fn_(std::move(fn)) {}
+        ~Cleanup() {
+            if (fn_) fn_();
+        }
+        Cleanup(const Cleanup&) = delete;
+        Cleanup& operator=(const Cleanup&) = delete;
+
+    private:
+        std::function<void()> fn_;
     };
-    std::vector<std::string> row_paths_;
-    std::vector<std::unique_ptr<std::istream>> files_;  ///< One open reader per file.
-    std::vector<Loc> locs_;  ///< Per point, in point order.
-    std::function<void()> cleanup_;
+    Cleanup cleanup_;
+    std::string row_path_;
+    std::ifstream file_;
+    std::vector<std::uint64_t> offsets_;  ///< Per point, in point order.
     std::size_t pos_ = 0;
     std::size_t peak_resident_ = 0;
 };

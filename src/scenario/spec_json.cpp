@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <set>
+#include <concepts>
 #include <stdexcept>
+#include <string_view>
 
 namespace floretsim::scenario {
 namespace {
 
 using util::Json;
 
-[[noreturn]] void bad(const std::string& context, const std::string& msg) {
-    throw std::invalid_argument("spec " + context + ": " + msg);
+[[noreturn]] void bad(const std::string& path, const std::string& msg) {
+    throw std::invalid_argument("spec " + path + ": " + msg);
 }
 
 /// Checked narrowing for spec fields: a 64-bit value that does not fit
@@ -23,73 +24,595 @@ std::int32_t to_int32(std::int64_t v, const char* what) {
     return static_cast<std::int32_t>(v);
 }
 
-/// Strict object reader: typed field extraction with
-/// keep-the-default-when-absent semantics, and unknown-key rejection via
-/// finish() — every from_json function below must consume (or at least
-/// probe) all keys it understands, then call finish().
-class ObjectReader {
-public:
-    ObjectReader(const Json& j, std::string context) : context_(std::move(context)) {
-        if (j.kind() != Json::Kind::kObject)
-            bad(context_, std::string("expected an object, got ") + j.kind_name());
-        json_ = &j;
-    }
+// ---- Field lists ------------------------------------------------------------
+//
+// Each spec struct names its fields exactly once, here, in serialization
+// order. A visitor `v` is called as v("key", field) for every field; the
+// writer, the strict reader and the validator below are the only three.
+// Two proxies stand in for fields whose JSON shape differs from their
+// C++ shape: GridRef (width + height as one "WxH" key) and LowerNames
+// (a name list stored ASCII-lowercased).
 
-    /// Marks `key` consumed; nullptr when absent.
-    const Json* find(const std::string& key) {
-        consumed_.insert(key);
-        return json_->find(key);
-    }
+struct GridRef {
+    std::int32_t& width;
+    std::int32_t& height;
+};
 
-    template <typename T, typename Fn>
-    void read_with(const std::string& key, T& out, Fn&& convert) {
-        if (const Json* v = find(key)) {
-            try {
-                out = convert(*v);
-            } catch (const std::invalid_argument& e) {
-                bad(context_ + "." + key, e.what());
-            }
+struct LowerNames {
+    std::vector<std::string>& names;
+};
+
+template <typename V>
+void fields(V& v, noc::SimConfig& c) {
+    v("flit_bytes", c.flit_bytes);
+    v("max_packet_flits", c.max_packet_flits);
+    v("input_buffer_flits", c.input_buffer_flits);
+    v("router_delay_cycles", c.router_delay_cycles);
+    v("mm_per_cycle", c.mm_per_cycle);
+    v("max_cycles", c.max_cycles);
+    v("injection_rate", c.injection_rate);
+    v("core", c.core);
+    v("regions", c.regions);
+}
+
+template <typename V>
+void fields(V& v, cost::CostParams& c) {
+    v("router_area_base_mm2", c.router_area_base_mm2);
+    v("router_area_per_port_mm2", c.router_area_per_port_mm2);
+    v("router_area_per_port2_mm2", c.router_area_per_port2_mm2);
+    v("link_area_per_mm_mm2", c.link_area_per_mm_mm2);
+    v("router_energy_base_pj", c.router_energy_base_pj);
+    v("router_energy_per_port_pj", c.router_energy_per_port_pj);
+    v("link_energy_per_mm_pj", c.link_energy_per_mm_pj);
+    v("router_leakage_base_mw", c.router_leakage_base_mw);
+    v("router_leakage_per_port2_mw", c.router_leakage_per_port2_mw);
+    v("link_leakage_per_mm_mw", c.link_leakage_per_mm_mw);
+    v("defect_density_per_mm2", c.defect_density_per_mm2);
+    v("ref_noi_area_mm2", c.ref_noi_area_mm2);
+    v("ref_chiplets", c.ref_chiplets);
+}
+
+template <typename V>
+void fields(V& v, core::EvalConfig& c) {
+    v("sim", c.sim);
+    v("cost", c.cost);
+    v("bytes_per_elem", c.bytes_per_elem);
+    v("traffic_scale", c.traffic_scale);
+    v("include_weight_load", c.include_weight_load);
+    v("io_node", c.io_node);
+    v("round_epoch_cache", c.round_epoch_cache);
+}
+
+/// The custom-mix object form; a canonical Table II mix is written as its
+/// bare name instead (see encode/decode).
+template <typename V>
+void fields(V& v, workload::ConcurrentMix& m) {
+    v("name", m.name);
+    v("entries", m.entries);
+    v("paper_total_params_b", m.paper_total_params_b);
+}
+
+template <typename V>
+void fields(V& v, core::SweepSpec& s) {
+    v("archs", s.archs);
+    v("grids", s.grids);
+    v("mixes", s.mixes);
+    v("evals", s.evals);
+    v("swap_seed", s.swap_seed);
+    v("greedy_max_gap", s.greedy_max_gap);
+    v("run_seed", s.run_seed);
+}
+
+template <typename V>
+void fields(V& v, core::SweepPoint& p) {
+    v("arch", p.arch);
+    v("grid", GridRef{p.width, p.height});
+    v("mix", p.mix);
+    v("eval", p.eval);
+    v("swap_seed", p.swap_seed);
+    v("greedy_max_gap", p.greedy_max_gap);
+    v("run_seed", p.run_seed);
+}
+
+template <typename V>
+void fields(V& v, core::experiment::DynamicResult& r) {
+    v("total_cycles", r.total_cycles);
+    v("total_energy_pj", r.total_energy_pj);
+    v("flit_hops", r.flit_hops);
+    v("rounds", r.rounds);
+    v("task_rounds", r.task_rounds);
+    v("all_completed", r.all_completed);
+    v("noi_evals", r.noi_evals);
+    v("round_epoch_hits", r.round_epoch_hits);
+    v("sim_cycles_stepped", r.sim_cycles_stepped);
+    v("sim_cycles_skipped", r.sim_cycles_skipped);
+    v("sim_horizon_jumps", r.sim_horizon_jumps);
+    v("sim_region_cycles_stepped", r.sim_region_cycles_stepped);
+    v("sim_region_cycles_skipped", r.sim_region_cycles_skipped);
+    v("sim_region_horizon_jumps", r.sim_region_horizon_jumps);
+    v("sim_region_stepped_max", r.sim_region_stepped_max);
+    v("sim_region_stepped_min", r.sim_region_stepped_min);
+}
+
+template <typename V>
+void fields(V& v, core::SweepRow& r) {
+    v("point", r.point);
+    v("result", r.result);
+    v("seconds", r.seconds);
+}
+
+template <typename V>
+void fields(V& v, serve::RequestClass& c) {
+    v("name", c.name);
+    v("workload_ids", c.workload_ids);
+    v("weight", c.weight);
+    v("slo_cycles", c.slo_cycles);
+}
+
+template <typename V>
+void fields(V& v, serve::ArrivalConfig& c) {
+    v("process", c.process);
+    v("rate_per_mcycle", c.rate_per_mcycle);
+    v("burst_rate_multiplier", c.burst_rate_multiplier);
+    v("normal_dwell_cycles", c.normal_dwell_cycles);
+    v("burst_dwell_cycles", c.burst_dwell_cycles);
+    v("trace_cycles", c.trace_cycles);
+    v("max_requests", c.max_requests);
+    v("min_rounds", c.min_rounds);
+    v("max_rounds", c.max_rounds);
+}
+
+template <typename V>
+void fields(V& v, serve::ServeConfig& c) {
+    v("arrivals", c.arrivals);
+    v("classes", c.classes);
+    v("admission", c.admission);
+    v("max_queue", c.max_queue);
+    v("max_batch", c.max_batch);
+    v("batch_traffic_alpha", c.batch_traffic_alpha);
+    v("eval", c.eval);
+    v("params_per_chiplet_m", c.params_per_chiplet_m);
+    v("seed", c.seed);
+}
+
+template <typename V>
+void fields(V& v, serve::ServeSpec& s) {
+    v("arch", s.arch);
+    v("grid", GridRef{s.width, s.height});
+    v("swap_seed", s.swap_seed);
+    v("greedy_max_gap", s.greedy_max_gap);
+    v("config", s.config);
+    v("replications", s.replications);
+    v("base_seed", s.base_seed);
+}
+
+template <typename V>
+void fields(V& v, ServeGridSpec& s) {
+    v("base", s.base);
+    v("archs", s.archs);
+    v("loads_per_mcycle", s.loads_per_mcycle);
+}
+
+template <typename V>
+void fields(V& v, ClusterSpec& s) {
+    v("base", s.base);
+    v("cluster_sizes", s.cluster_sizes);
+    v("batch_caps", s.batch_caps);
+    v("loads_per_mcycle", s.loads_per_mcycle);
+    v("balance", s.balance);
+}
+
+template <typename V>
+void fields(V& v, Moo3dVariant& m) {
+    v("name", m.name);
+    v("tier_pitch_mm", m.tier_pitch_mm);
+    v("g_vertical_w_per_k", m.g_vertical_w_per_k);
+}
+
+template <typename V>
+void fields(V& v, Moo3dSpec& s) {
+    v("workloads", s.workloads);
+    v("grid", GridRef{s.width, s.height});
+    v("depth", s.depth);
+    v("routing", s.routing);
+    v("iterations", s.iterations);
+    v("w_perf", s.w_perf);
+    v("w_thermal", s.w_thermal);
+    v("t_target_k", s.t_target_k);
+    v("seed", s.seed);
+    v("variants", s.variants);
+}
+
+template <typename V>
+void fields(V& v, core::HeteroConfig& c) {
+    v("macro_width", c.macro_width);
+    v("macro_height", c.macro_height);
+    v("lambda", c.lambda);
+    v("attention_modules", c.attention_modules);
+    v("params_per_chiplet_m", c.params_per_chiplet_m);
+    v("pitch_mm", c.pitch_mm);
+    v("sram_speedup", c.sram_speedup);
+    v("reram_write_ns_per_elem", c.reram_write_ns_per_elem);
+}
+
+template <typename V>
+void fields(V& v, TransformerSpec& s) {
+    v("models", LowerNames{s.models});
+    v("batches", s.batches);
+    v("hetero", s.hetero);
+}
+
+template <typename V>
+void fields(V& v, ScalingSpec& s) {
+    v("sides", s.sides);
+    v("archs", s.archs);
+    v("lambdas", s.lambdas);
+    v("eval", s.eval);
+    v("mix_seed", s.mix_seed);
+    v("swap_seed", s.swap_seed);
+    v("greedy_max_gap", s.greedy_max_gap);
+    v("run_seed", s.run_seed);
+}
+
+// ---- Range checks -----------------------------------------------------------
+//
+// One check per struct that has any; validate() runs them over a whole
+// spec tree, children before parents. A custom mix is checked as it is
+// decoded instead: the empty default mix of a bare SweepPoint means "no
+// mix yet", not a malformed one.
+
+template <typename T>
+void check(const T&, const std::string&) {}
+
+void check_workload_id(const std::string& id, const std::string& path) {
+    try {
+        (void)workload::workload_by_id(id);
+    } catch (const std::invalid_argument& e) {
+        bad(path, e.what());
+    }
+}
+
+void check(const noc::SimConfig& c, const std::string& path) {
+    if (c.max_cycles <= 0) bad(path, "\"max_cycles\" must be positive");
+    if (!(c.injection_rate > 0.0)) bad(path, "\"injection_rate\" must be positive");
+}
+
+void check(const core::EvalConfig& c, const std::string& path) {
+    if (!(c.traffic_scale > 0.0 && c.traffic_scale <= 1.0))
+        bad(path, "\"traffic_scale\" must be in (0, 1]");
+}
+
+void check(const serve::RequestClass& c, const std::string& path) {
+    if (c.name.empty()) bad(path, "request classes need a \"name\"");
+    if (c.workload_ids.empty()) bad(path, "request classes need \"workload_ids\"");
+    for (const auto& id : c.workload_ids) check_workload_id(id, path);
+}
+
+void check(const serve::ArrivalConfig& c, const std::string& path) {
+    if (c.max_requests <= 0) bad(path, "\"max_requests\" must be positive");
+}
+
+void check(const serve::ServeConfig& c, const std::string& path) {
+    if (c.max_batch < 1) bad(path, "\"max_batch\" must be >= 1");
+    if (!(c.batch_traffic_alpha >= 0.0))
+        bad(path, "\"batch_traffic_alpha\" must be >= 0");
+    // Tenant class names key the per-class report rows; duplicates would
+    // silently merge two tenants' SLO accounting.
+    for (std::size_t a = 0; a < c.classes.size(); ++a)
+        for (std::size_t b = a + 1; b < c.classes.size(); ++b)
+            if (c.classes[a].name == c.classes[b].name)
+                bad(path, "duplicate class name \"" + c.classes[a].name + "\"");
+}
+
+void check(const serve::ServeSpec& s, const std::string& path) {
+    if (s.replications < 1) bad(path, "\"replications\" must be >= 1");
+}
+
+void check_loads(const std::vector<double>& loads, const std::string& path) {
+    if (loads.empty()) bad(path, "\"loads_per_mcycle\" must not be empty");
+    for (const double l : loads)
+        if (!(l > 0.0)) bad(path, "offered loads must be > 0");
+}
+
+void check(const ServeGridSpec& s, const std::string& path) {
+    check_loads(s.loads_per_mcycle, path);
+}
+
+void check(const ClusterSpec& s, const std::string& path) {
+    if (s.cluster_sizes.empty()) bad(path, "\"cluster_sizes\" must not be empty");
+    for (const auto k : s.cluster_sizes)
+        if (k < 1) bad(path, "cluster sizes must be >= 1 fabrics");
+    if (s.batch_caps.empty()) bad(path, "\"batch_caps\" must not be empty");
+    for (const auto b : s.batch_caps)
+        if (b < 1) bad(path, "batch caps must be >= 1");
+    check_loads(s.loads_per_mcycle, path);
+}
+
+void check(const Moo3dVariant& v, const std::string& path) {
+    if (v.name.empty()) bad(path, "variants need a \"name\"");
+}
+
+void check(const Moo3dSpec& s, const std::string& path) {
+    if (s.workloads.empty()) bad(path, "specs need \"workloads\"");
+    for (const auto& id : s.workloads) check_workload_id(id, path);
+    if (s.depth <= 0) bad(path, "depth must be positive");
+    if (s.iterations < 0) bad(path, "iterations must be non-negative");
+}
+
+void check(const TransformerSpec& s, const std::string& path) {
+    if (s.models.empty()) bad(path, "specs need \"models\"");
+    for (const auto& m : s.models) {
+        try {
+            (void)transformer_model_from_name(m);
+        } catch (const std::invalid_argument& e) {
+            bad(path, e.what());
         }
     }
+    if (s.batches.empty()) bad(path, "specs need \"batches\"");
+    for (const auto b : s.batches)
+        if (b <= 0) bad(path, "batches must be positive");
+}
 
-    void read(const std::string& key, bool& out) {
-        read_with(key, out, [](const Json& v) { return v.as_bool(); });
+void check(const ScalingSpec& s, const std::string& path) {
+    if (s.sides.empty()) bad(path, "specs need \"sides\"");
+    for (const auto side : s.sides)
+        if (side <= 0) bad(path, "sides must be positive");
+    if (s.archs.empty()) bad(path, "specs need \"archs\"");
+    for (const auto l : s.lambdas)
+        if (l <= 0) bad(path, "lambdas must be positive");
+}
+
+void check_mix(const workload::ConcurrentMix& m, const std::string& path) {
+    if (m.name.empty()) bad(path, "custom mixes need a \"name\"");
+    if (m.entries.empty()) bad(path, "custom mixes need \"entries\"");
+    for (const auto& [id, count] : m.entries) {
+        check_workload_id(id, path);
+        if (count <= 0) bad(path, "instance count must be positive");
     }
-    void read(const std::string& key, std::int32_t& out) {
-        read_with(key, out, [](const Json& v) {
-            const std::int64_t i = v.as_int();
-            if (i < INT32_MIN || i > INT32_MAX)
-                throw std::invalid_argument("value out of int32 range");
-            return static_cast<std::int32_t>(i);
-        });
+}
+
+// ---- The three visitors -----------------------------------------------------
+
+template <typename T>
+Json encode(const T& x);
+template <typename T>
+void decode(const Json& j, T& out, const std::string& path);
+template <typename T>
+void walk(const T& x, const std::string& path);
+
+/// Emits every field, in fields() order.
+struct Writer {
+    Json json = Json::object();
+
+    template <typename T>
+    void operator()(const char* key, const T& field) {
+        json.set(key, encode(field));
     }
-    void read(const std::string& key, std::int64_t& out) {
-        read_with(key, out, [](const Json& v) { return v.as_int(); });
-    }
-    void read(const std::string& key, std::uint64_t& out) {
-        read_with(key, out, [](const Json& v) { return v.as_uint(); });
-    }
-    void read(const std::string& key, double& out) {
-        read_with(key, out, [](const Json& v) { return v.as_double(); });
-    }
-    void read(const std::string& key, std::string& out) {
-        read_with(key, out, [](const Json& v) { return v.as_string(); });
+};
+
+/// Strict reader: a missing key keeps the default, an unknown key is an
+/// error naming the object's path.
+class Reader {
+public:
+    Reader(const Json& j, const std::string& path) : json_(j), path_(path) {
+        if (j.kind() != Json::Kind::kObject)
+            bad(path, std::string("expected an object, got ") + j.kind_name());
     }
 
-    /// Rejects any key the caller never probed.
-    void finish() {
-        for (const auto& [key, value] : json_->as_object()) {
+    template <typename T>
+    void operator()(const char* key, T&& field) {
+        known_.push_back(key);
+        if (const Json* v = json_.find(key)) decode(*v, field, path_ + "." + key);
+    }
+
+    void finish() const {
+        for (const auto& [key, value] : json_.as_object()) {
             (void)value;
-            if (!consumed_.contains(key))
-                bad(context_, "unknown key \"" + key + "\"");
+            if (std::find(known_.begin(), known_.end(), key) == known_.end())
+                bad(path_, "unknown key \"" + key + "\"");
         }
     }
 
 private:
-    const Json* json_ = nullptr;
-    std::string context_;
-    std::set<std::string, std::less<>> consumed_;
+    const Json& json_;
+    const std::string& path_;
+    std::vector<std::string_view> known_;
 };
+
+/// Runs check() on every struct of a spec tree.
+struct Validator {
+    const std::string& path;
+
+    template <typename T>
+    void operator()(const char* key, const T& field) {
+        walk(field, path + "." + key);
+    }
+};
+
+template <typename T>
+concept HasFields = requires(Writer& w, T& x) { fields(w, x); };
+
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T, typename A>
+constexpr bool kIsVector<std::vector<T, A>> = true;
+
+using Grid = std::pair<std::int32_t, std::int32_t>;
+using MixEntry = std::pair<std::string, std::int32_t>;
+
+/// The standalone default a spec struct is read onto: the serving structs
+/// start from default_serve_config(), so a user spec that omits "eval"
+/// measures on the same scale (1/64 traffic sampling etc.) as every
+/// documented serving number.
+template <typename T>
+T default_of() {
+    if constexpr (std::same_as<T, serve::ServeConfig>)
+        return serve::default_serve_config();
+    else if constexpr (std::same_as<T, serve::ServeSpec>)
+        return ServeGridSpec::default_base();
+    else
+        return T{};
+}
+
+Json grid_to_json(Grid g) {
+    return Json(std::to_string(g.first) + "x" + std::to_string(g.second));
+}
+
+Grid grid_from_json(const Json& j) {
+    if (j.kind() == Json::Kind::kString) return grid_from_string(j.as_string());
+    const auto& pair = j.as_array();
+    if (pair.size() != 2)
+        throw std::invalid_argument("grid array must be [width, height]");
+    const std::int32_t w = to_int32(pair[0].as_int(), "grid width");
+    const std::int32_t h = to_int32(pair[1].as_int(), "grid height");
+    if (w <= 0 || h <= 0) throw std::invalid_argument("grid sides must be positive");
+    return {w, h};
+}
+
+void decode_enum(const Json& j, core::experiment::Arch& e) { e = arch_from_json(j); }
+void decode_enum(const Json& j, noc::SimCore& e) { e = sim_core_from_json(j); }
+void decode_enum(const Json& j, serve::AdmissionPolicy& e) {
+    e = admission_policy_from_json(j);
+}
+void decode_enum(const Json& j, serve::BalancePolicy& e) {
+    e = balance_policy_from_json(j);
+}
+void decode_enum(const Json& j, serve::ArrivalProcess& e) {
+    e = arrival_process_from_json(j);
+}
+void decode_enum(const Json& j, noc::RoutingPolicy& e) {
+    e = routing_policy_from_json(j);
+}
+
+/// Scalars, enums and the small tuple shapes; throws bare messages that
+/// decode() prefixes with the field's path.
+template <typename T>
+void decode_leaf(const Json& j, T& out) {
+    if constexpr (std::is_enum_v<T>) {
+        decode_enum(j, out);
+    } else if constexpr (std::same_as<T, GridRef>) {
+        const auto [w, h] = grid_from_json(j);
+        out.width = w;
+        out.height = h;
+    } else if constexpr (std::same_as<T, Grid>) {
+        out = grid_from_json(j);
+    } else if constexpr (std::same_as<T, MixEntry>) {
+        const auto& pair = j.as_array();
+        if (pair.size() != 2)
+            throw std::invalid_argument("each entry must be [workload_id, count]");
+        out = {pair[0].as_string(), to_int32(pair[1].as_int(), "mix instance count")};
+    } else if constexpr (std::same_as<T, bool>) {
+        out = j.as_bool();
+    } else if constexpr (std::same_as<T, std::int32_t>) {
+        out = to_int32(j.as_int(), "value");
+    } else if constexpr (std::same_as<T, std::int64_t>) {
+        out = j.as_int();
+    } else if constexpr (std::same_as<T, std::uint64_t>) {
+        out = j.as_uint();
+    } else if constexpr (std::same_as<T, double>) {
+        out = j.as_double();
+    } else {
+        static_assert(std::same_as<T, std::string>, "no JSON codec for this field");
+        out = j.as_string();
+    }
+}
+
+template <typename T>
+Json encode(const T& x) {
+    if constexpr (kIsVector<T>) {
+        Json items = Json::array();
+        for (const auto& item : x) items.push_back(encode(item));
+        return items;
+    } else if constexpr (std::same_as<T, LowerNames>) {
+        return encode(x.names);
+    } else if constexpr (std::same_as<T, GridRef>) {
+        return grid_to_json({x.width, x.height});
+    } else if constexpr (std::same_as<T, Grid>) {
+        return grid_to_json(x);
+    } else if constexpr (std::same_as<T, MixEntry>) {
+        Json pair = Json::array();
+        pair.push_back(x.first);
+        pair.push_back(x.second);
+        return pair;
+    } else if constexpr (std::is_enum_v<T>) {
+        return to_json(x);
+    } else if constexpr (HasFields<T>) {
+        if constexpr (std::same_as<T, workload::ConcurrentMix>) {
+            for (const auto& canonical : workload::table2())
+                if (canonical.name == x.name && canonical == x) return Json(x.name);
+        }
+        Writer w;
+        fields(w, const_cast<T&>(x));  // the writer only reads
+        return std::move(w.json);
+    } else {
+        return Json(x);
+    }
+}
+
+template <typename T>
+void decode(const Json& j, T& out, const std::string& path) {
+    if constexpr (kIsVector<T>) {
+        if (j.kind() != Json::Kind::kArray)
+            bad(path, std::string("expected an array, got ") + j.kind_name());
+        T items;
+        const auto& array = j.as_array();
+        for (std::size_t i = 0; i < array.size(); ++i) {
+            auto item = default_of<typename T::value_type>();
+            decode(array[i], item, path + "[" + std::to_string(i) + "]");
+            items.push_back(std::move(item));
+        }
+        out = std::move(items);
+    } else if constexpr (std::same_as<T, LowerNames>) {
+        decode(j, out.names, path);
+        for (auto& name : out.names) name = ascii_lower(name);
+    } else if constexpr (HasFields<T>) {
+        if constexpr (std::same_as<T, workload::ConcurrentMix>) {
+            if (j.kind() == Json::Kind::kString) {
+                for (const auto& m : workload::table2())
+                    if (m.name == j.as_string()) {
+                        out = m;
+                        return;
+                    }
+                bad(path, "unknown Table II mix \"" + j.as_string() + "\"");
+            }
+        }
+        T x = default_of<T>();
+        Reader r(j, path);
+        fields(r, x);
+        r.finish();
+        if constexpr (std::same_as<T, workload::ConcurrentMix>) check_mix(x, path);
+        out = std::move(x);
+    } else {
+        try {
+            decode_leaf(j, out);
+        } catch (const std::invalid_argument& e) {
+            bad(path, e.what());
+        }
+    }
+}
+
+template <typename T>
+void walk(const T& x, const std::string& path) {
+    if constexpr (kIsVector<T>) {
+        if constexpr (HasFields<typename T::value_type>)
+            for (std::size_t i = 0; i < x.size(); ++i)
+                walk(x[i], path + "[" + std::to_string(i) + "]");
+    } else if constexpr (HasFields<T>) {
+        Validator v{path};
+        fields(v, const_cast<T&>(x));  // the validator only reads
+        check(x, path);
+    }
+}
+
+/// Parse + validate: the body of every public *_from_json below. `root`
+/// names the value in error messages ("spec cluster.base: ...").
+template <typename T>
+T read(const Json& j, const std::string& root) {
+    T x = default_of<T>();
+    decode(j, x, root);
+    walk(x, root);
+    return x;
+}
 
 }  // namespace
 
@@ -176,586 +699,6 @@ serve::ArrivalProcess arrival_process_from_json(const Json& j) {
                                 "\" (expected poisson|mmpp|trace)");
 }
 
-// ---- Simulator / evaluation knobs ------------------------------------------
-
-Json to_json(const noc::SimConfig& c) {
-    Json j = Json::object();
-    j.set("flit_bytes", c.flit_bytes);
-    j.set("max_packet_flits", c.max_packet_flits);
-    j.set("input_buffer_flits", c.input_buffer_flits);
-    j.set("router_delay_cycles", c.router_delay_cycles);
-    j.set("mm_per_cycle", c.mm_per_cycle);
-    j.set("max_cycles", c.max_cycles);
-    j.set("injection_rate", c.injection_rate);
-    j.set("core", to_json(c.core));
-    j.set("regions", c.regions);
-    return j;
-}
-
-noc::SimConfig sim_config_from_json(const Json& j) {
-    noc::SimConfig c;
-    ObjectReader r(j, "sim");
-    r.read("flit_bytes", c.flit_bytes);
-    r.read("max_packet_flits", c.max_packet_flits);
-    r.read("input_buffer_flits", c.input_buffer_flits);
-    r.read("router_delay_cycles", c.router_delay_cycles);
-    r.read("mm_per_cycle", c.mm_per_cycle);
-    r.read("max_cycles", c.max_cycles);
-    r.read("injection_rate", c.injection_rate);
-    r.read_with("core", c.core, sim_core_from_json);
-    r.read("regions", c.regions);
-    r.finish();
-    return c;
-}
-
-Json to_json(const cost::CostParams& c) {
-    Json j = Json::object();
-    j.set("router_area_base_mm2", c.router_area_base_mm2);
-    j.set("router_area_per_port_mm2", c.router_area_per_port_mm2);
-    j.set("router_area_per_port2_mm2", c.router_area_per_port2_mm2);
-    j.set("link_area_per_mm_mm2", c.link_area_per_mm_mm2);
-    j.set("router_energy_base_pj", c.router_energy_base_pj);
-    j.set("router_energy_per_port_pj", c.router_energy_per_port_pj);
-    j.set("link_energy_per_mm_pj", c.link_energy_per_mm_pj);
-    j.set("router_leakage_base_mw", c.router_leakage_base_mw);
-    j.set("router_leakage_per_port2_mw", c.router_leakage_per_port2_mw);
-    j.set("link_leakage_per_mm_mw", c.link_leakage_per_mm_mw);
-    j.set("defect_density_per_mm2", c.defect_density_per_mm2);
-    j.set("ref_noi_area_mm2", c.ref_noi_area_mm2);
-    j.set("ref_chiplets", c.ref_chiplets);
-    return j;
-}
-
-cost::CostParams cost_params_from_json(const Json& j) {
-    cost::CostParams c;
-    ObjectReader r(j, "cost");
-    r.read("router_area_base_mm2", c.router_area_base_mm2);
-    r.read("router_area_per_port_mm2", c.router_area_per_port_mm2);
-    r.read("router_area_per_port2_mm2", c.router_area_per_port2_mm2);
-    r.read("link_area_per_mm_mm2", c.link_area_per_mm_mm2);
-    r.read("router_energy_base_pj", c.router_energy_base_pj);
-    r.read("router_energy_per_port_pj", c.router_energy_per_port_pj);
-    r.read("link_energy_per_mm_pj", c.link_energy_per_mm_pj);
-    r.read("router_leakage_base_mw", c.router_leakage_base_mw);
-    r.read("router_leakage_per_port2_mw", c.router_leakage_per_port2_mw);
-    r.read("link_leakage_per_mm_mw", c.link_leakage_per_mm_mw);
-    r.read("defect_density_per_mm2", c.defect_density_per_mm2);
-    r.read("ref_noi_area_mm2", c.ref_noi_area_mm2);
-    r.read("ref_chiplets", c.ref_chiplets);
-    r.finish();
-    return c;
-}
-
-Json to_json(const core::EvalConfig& c) {
-    Json j = Json::object();
-    j.set("sim", to_json(c.sim));
-    j.set("cost", to_json(c.cost));
-    j.set("bytes_per_elem", c.bytes_per_elem);
-    j.set("traffic_scale", c.traffic_scale);
-    j.set("include_weight_load", c.include_weight_load);
-    j.set("io_node", c.io_node);
-    j.set("round_epoch_cache", c.round_epoch_cache);
-    return j;
-}
-
-core::EvalConfig eval_config_from_json(const Json& j) {
-    core::EvalConfig c;
-    ObjectReader r(j, "eval");
-    r.read_with("sim", c.sim, sim_config_from_json);
-    r.read_with("cost", c.cost, cost_params_from_json);
-    r.read("bytes_per_elem", c.bytes_per_elem);
-    r.read("traffic_scale", c.traffic_scale);
-    r.read("include_weight_load", c.include_weight_load);
-    r.read("io_node", c.io_node);
-    r.read("round_epoch_cache", c.round_epoch_cache);
-    r.finish();
-    return c;
-}
-
-// ---- Workload mixes ---------------------------------------------------------
-
-Json to_json(const workload::ConcurrentMix& m) {
-    for (const auto& canonical : workload::table2())
-        if (canonical.name == m.name && canonical == m) return Json(m.name);
-    Json j = Json::object();
-    j.set("name", m.name);
-    Json entries = Json::array();
-    for (const auto& [id, count] : m.entries) {
-        Json e = Json::array();
-        e.push_back(id);
-        e.push_back(count);
-        entries.push_back(std::move(e));
-    }
-    j.set("entries", std::move(entries));
-    j.set("paper_total_params_b", m.paper_total_params_b);
-    return j;
-}
-
-workload::ConcurrentMix mix_from_json(const Json& j) {
-    if (j.kind() == Json::Kind::kString) {
-        const std::string& name = j.as_string();
-        for (const auto& m : workload::table2())
-            if (m.name == name) return m;
-        throw std::invalid_argument("unknown Table II mix \"" + name + "\"");
-    }
-    workload::ConcurrentMix m;
-    ObjectReader r(j, "mix");
-    r.read("name", m.name);
-    if (const Json* entries = r.find("entries")) {
-        for (const Json& e : entries->as_array()) {
-            const auto& pair = e.as_array();
-            if (pair.size() != 2)
-                bad("mix.entries", "each entry must be [workload_id, count]");
-            const std::string& id = pair[0].as_string();
-            (void)workload::workload_by_id(id);  // throws on an unknown id
-            const std::int32_t count =
-                to_int32(pair[1].as_int(), "mix instance count");
-            if (count <= 0) bad("mix.entries", "instance count must be positive");
-            m.entries.emplace_back(id, count);
-        }
-    }
-    r.read("paper_total_params_b", m.paper_total_params_b);
-    r.finish();
-    if (m.name.empty()) bad("mix", "custom mixes need a \"name\"");
-    if (m.entries.empty()) bad("mix", "custom mixes need \"entries\"");
-    return m;
-}
-
-// ---- Sweep specs ------------------------------------------------------------
-
-namespace {
-
-std::pair<std::int32_t, std::int32_t> grid_from_json(const Json& j) {
-    if (j.kind() == Json::Kind::kString) return grid_from_string(j.as_string());
-    const auto& pair = j.as_array();
-    if (pair.size() != 2)
-        throw std::invalid_argument("grid array must be [width, height]");
-    const std::int32_t w = to_int32(pair[0].as_int(), "grid width");
-    const std::int32_t h = to_int32(pair[1].as_int(), "grid height");
-    if (w <= 0 || h <= 0) throw std::invalid_argument("grid sides must be positive");
-    return {w, h};
-}
-
-Json grid_to_json(std::pair<std::int32_t, std::int32_t> g) {
-    return Json(std::to_string(g.first) + "x" + std::to_string(g.second));
-}
-
-}  // namespace
-
-std::pair<std::int32_t, std::int32_t> grid_from_string(const std::string& s) {
-    const std::size_t x = s.find('x');
-    if (x != std::string::npos && x > 0 && x + 1 < s.size()) {
-        const auto side = [&](std::size_t from, std::size_t to) {
-            std::int32_t v = -1;
-            const auto [p, ec] = std::from_chars(s.data() + from, s.data() + to, v);
-            return (ec == std::errc() && p == s.data() + to) ? v : -1;
-        };
-        const std::int32_t w = side(0, x);
-        const std::int32_t h = side(x + 1, s.size());
-        if (w > 0 && h > 0) return {w, h};
-    }
-    throw std::invalid_argument("grid \"" + s + "\" is not \"WxH\"");
-}
-
-Json to_json(const core::SweepSpec& s) {
-    Json j = Json::object();
-    Json archs = Json::array();
-    for (const auto a : s.archs) archs.push_back(to_json(a));
-    j.set("archs", std::move(archs));
-    Json grids = Json::array();
-    for (const auto& g : s.grids) grids.push_back(grid_to_json(g));
-    j.set("grids", std::move(grids));
-    Json mixes = Json::array();
-    for (const auto& m : s.mixes) mixes.push_back(to_json(m));
-    j.set("mixes", std::move(mixes));
-    Json evals = Json::array();
-    for (const auto& e : s.evals) evals.push_back(to_json(e));
-    j.set("evals", std::move(evals));
-    j.set("swap_seed", s.swap_seed);
-    j.set("greedy_max_gap", s.greedy_max_gap);
-    j.set("run_seed", s.run_seed);
-    return j;
-}
-
-core::SweepSpec sweep_spec_from_json(const Json& j) {
-    core::SweepSpec s;
-    ObjectReader r(j, "sweep");
-    if (const Json* archs = r.find("archs")) {
-        s.archs.clear();
-        for (const Json& a : archs->as_array()) s.archs.push_back(arch_from_json(a));
-    }
-    if (const Json* grids = r.find("grids")) {
-        s.grids.clear();
-        for (const Json& g : grids->as_array()) s.grids.push_back(grid_from_json(g));
-    }
-    if (const Json* mixes = r.find("mixes")) {
-        s.mixes.clear();
-        for (const Json& m : mixes->as_array()) s.mixes.push_back(mix_from_json(m));
-    }
-    if (const Json* evals = r.find("evals")) {
-        s.evals.clear();
-        for (const Json& e : evals->as_array())
-            s.evals.push_back(eval_config_from_json(e));
-    }
-    r.read("swap_seed", s.swap_seed);
-    r.read("greedy_max_gap", s.greedy_max_gap);
-    r.read("run_seed", s.run_seed);
-    r.finish();
-    return s;
-}
-
-Json to_json(const core::SweepPoint& p) {
-    Json j = Json::object();
-    j.set("arch", to_json(p.arch));
-    j.set("grid", grid_to_json({p.width, p.height}));
-    j.set("mix", to_json(p.mix));
-    j.set("eval", to_json(p.eval));
-    j.set("swap_seed", p.swap_seed);
-    j.set("greedy_max_gap", p.greedy_max_gap);
-    j.set("run_seed", p.run_seed);
-    return j;
-}
-
-core::SweepPoint sweep_point_from_json(const Json& j) {
-    core::SweepPoint p;
-    ObjectReader r(j, "point");
-    r.read_with("arch", p.arch, arch_from_json);
-    if (const Json* g = r.find("grid")) {
-        const auto [w, h] = grid_from_json(*g);
-        p.width = w;
-        p.height = h;
-    }
-    r.read_with("mix", p.mix, mix_from_json);
-    r.read_with("eval", p.eval, eval_config_from_json);
-    r.read("swap_seed", p.swap_seed);
-    r.read("greedy_max_gap", p.greedy_max_gap);
-    r.read("run_seed", p.run_seed);
-    r.finish();
-    return p;
-}
-
-Json to_json(const std::vector<core::SweepPoint>& pts) {
-    Json j = Json::array();
-    for (const auto& p : pts) j.push_back(to_json(p));
-    return j;
-}
-
-std::vector<core::SweepPoint> sweep_points_from_json(const Json& j) {
-    std::vector<core::SweepPoint> pts;
-    for (const Json& p : j.as_array()) pts.push_back(sweep_point_from_json(p));
-    return pts;
-}
-
-// ---- Sweep rows (the return wire format) ------------------------------------
-
-Json to_json(const core::experiment::DynamicResult& r) {
-    Json j = Json::object();
-    j.set("total_cycles", r.total_cycles);
-    j.set("total_energy_pj", r.total_energy_pj);
-    j.set("flit_hops", r.flit_hops);
-    j.set("rounds", r.rounds);
-    j.set("task_rounds", r.task_rounds);
-    j.set("all_completed", r.all_completed);
-    j.set("noi_evals", r.noi_evals);
-    j.set("round_epoch_hits", r.round_epoch_hits);
-    j.set("sim_cycles_stepped", r.sim_cycles_stepped);
-    j.set("sim_cycles_skipped", r.sim_cycles_skipped);
-    j.set("sim_horizon_jumps", r.sim_horizon_jumps);
-    j.set("sim_region_cycles_stepped", r.sim_region_cycles_stepped);
-    j.set("sim_region_cycles_skipped", r.sim_region_cycles_skipped);
-    j.set("sim_region_horizon_jumps", r.sim_region_horizon_jumps);
-    j.set("sim_region_stepped_max", r.sim_region_stepped_max);
-    j.set("sim_region_stepped_min", r.sim_region_stepped_min);
-    return j;
-}
-
-core::experiment::DynamicResult dynamic_result_from_json(const Json& j) {
-    core::experiment::DynamicResult r;
-    ObjectReader rd(j, "result");
-    rd.read("total_cycles", r.total_cycles);
-    rd.read("total_energy_pj", r.total_energy_pj);
-    rd.read("flit_hops", r.flit_hops);
-    rd.read("rounds", r.rounds);
-    rd.read("task_rounds", r.task_rounds);
-    rd.read("all_completed", r.all_completed);
-    rd.read("noi_evals", r.noi_evals);
-    rd.read("round_epoch_hits", r.round_epoch_hits);
-    rd.read("sim_cycles_stepped", r.sim_cycles_stepped);
-    rd.read("sim_cycles_skipped", r.sim_cycles_skipped);
-    rd.read("sim_horizon_jumps", r.sim_horizon_jumps);
-    rd.read("sim_region_cycles_stepped", r.sim_region_cycles_stepped);
-    rd.read("sim_region_cycles_skipped", r.sim_region_cycles_skipped);
-    rd.read("sim_region_horizon_jumps", r.sim_region_horizon_jumps);
-    rd.read("sim_region_stepped_max", r.sim_region_stepped_max);
-    rd.read("sim_region_stepped_min", r.sim_region_stepped_min);
-    rd.finish();
-    return r;
-}
-
-Json to_json(const core::SweepRow& r) {
-    Json j = Json::object();
-    j.set("point", to_json(r.point));
-    j.set("result", to_json(r.result));
-    j.set("seconds", r.seconds);
-    return j;
-}
-
-core::SweepRow sweep_row_from_json(const Json& j) {
-    core::SweepRow r;
-    ObjectReader rd(j, "row");
-    rd.read_with("point", r.point, sweep_point_from_json);
-    rd.read_with("result", r.result, dynamic_result_from_json);
-    rd.read("seconds", r.seconds);
-    rd.finish();
-    return r;
-}
-
-Json to_json(const std::vector<core::SweepRow>& rows) {
-    Json j = Json::array();
-    for (const auto& r : rows) j.push_back(to_json(r));
-    return j;
-}
-
-std::vector<core::SweepRow> sweep_rows_from_json(const Json& j) {
-    std::vector<core::SweepRow> rows;
-    for (const Json& r : j.as_array()) rows.push_back(sweep_row_from_json(r));
-    return rows;
-}
-
-// ---- Serving specs ----------------------------------------------------------
-
-Json to_json(const serve::RequestClass& c) {
-    Json j = Json::object();
-    j.set("name", c.name);
-    Json ids = Json::array();
-    for (const auto& id : c.workload_ids) ids.push_back(id);
-    j.set("workload_ids", std::move(ids));
-    j.set("weight", c.weight);
-    j.set("slo_cycles", c.slo_cycles);
-    return j;
-}
-
-serve::RequestClass request_class_from_json(const Json& j) {
-    serve::RequestClass c;
-    ObjectReader r(j, "class");
-    r.read("name", c.name);
-    if (const Json* ids = r.find("workload_ids")) {
-        for (const Json& id : ids->as_array()) {
-            (void)workload::workload_by_id(id.as_string());  // validate
-            c.workload_ids.push_back(id.as_string());
-        }
-    }
-    r.read("weight", c.weight);
-    r.read("slo_cycles", c.slo_cycles);
-    r.finish();
-    if (c.name.empty()) bad("class", "request classes need a \"name\"");
-    if (c.workload_ids.empty()) bad("class", "request classes need \"workload_ids\"");
-    return c;
-}
-
-Json to_json(const serve::ArrivalConfig& c) {
-    Json j = Json::object();
-    j.set("process", to_json(c.process));
-    j.set("rate_per_mcycle", c.rate_per_mcycle);
-    j.set("burst_rate_multiplier", c.burst_rate_multiplier);
-    j.set("normal_dwell_cycles", c.normal_dwell_cycles);
-    j.set("burst_dwell_cycles", c.burst_dwell_cycles);
-    Json trace = Json::array();
-    for (const double t : c.trace_cycles) trace.push_back(t);
-    j.set("trace_cycles", std::move(trace));
-    j.set("max_requests", c.max_requests);
-    j.set("min_rounds", c.min_rounds);
-    j.set("max_rounds", c.max_rounds);
-    return j;
-}
-
-serve::ArrivalConfig arrival_config_from_json(const Json& j) {
-    serve::ArrivalConfig c;
-    ObjectReader r(j, "arrivals");
-    r.read_with("process", c.process, arrival_process_from_json);
-    r.read("rate_per_mcycle", c.rate_per_mcycle);
-    r.read("burst_rate_multiplier", c.burst_rate_multiplier);
-    r.read("normal_dwell_cycles", c.normal_dwell_cycles);
-    r.read("burst_dwell_cycles", c.burst_dwell_cycles);
-    if (const Json* trace = r.find("trace_cycles")) {
-        for (const Json& t : trace->as_array()) c.trace_cycles.push_back(t.as_double());
-    }
-    r.read("max_requests", c.max_requests);
-    r.read("min_rounds", c.min_rounds);
-    r.read("max_rounds", c.max_rounds);
-    r.finish();
-    return c;
-}
-
-Json to_json(const serve::ServeConfig& c) {
-    Json j = Json::object();
-    j.set("arrivals", to_json(c.arrivals));
-    Json classes = Json::array();
-    for (const auto& cls : c.classes) classes.push_back(to_json(cls));
-    j.set("classes", std::move(classes));
-    j.set("admission", to_json(c.admission));
-    j.set("max_queue", static_cast<std::uint64_t>(c.max_queue));
-    j.set("max_batch", c.max_batch);
-    j.set("batch_traffic_alpha", c.batch_traffic_alpha);
-    j.set("eval", to_json(c.eval));
-    j.set("params_per_chiplet_m", c.params_per_chiplet_m);
-    j.set("seed", c.seed);
-    return j;
-}
-
-serve::ServeConfig serve_config_from_json(const Json& j) {
-    // Defaults start at default_serve_config(), not a bare ServeConfig{}:
-    // a user spec that omits "eval" must measure on the same scale (1/64
-    // traffic sampling etc.) as every documented serving number.
-    serve::ServeConfig c = serve::default_serve_config();
-    ObjectReader r(j, "serve");
-    r.read_with("arrivals", c.arrivals, arrival_config_from_json);
-    if (const Json* classes = r.find("classes")) {
-        for (const Json& cls : classes->as_array())
-            c.classes.push_back(request_class_from_json(cls));
-    }
-    r.read_with("admission", c.admission, admission_policy_from_json);
-    r.read("max_queue", c.max_queue);
-    r.read("max_batch", c.max_batch);
-    r.read("batch_traffic_alpha", c.batch_traffic_alpha);
-    r.read_with("eval", c.eval, eval_config_from_json);
-    r.read("params_per_chiplet_m", c.params_per_chiplet_m);
-    r.read("seed", c.seed);
-    r.finish();
-    if (c.max_batch < 1)
-        bad("serve", "\"max_batch\" must be >= 1");
-    if (c.batch_traffic_alpha < 0.0)
-        bad("serve", "\"batch_traffic_alpha\" must be >= 0");
-    // Tenant class names key the per-class report rows; duplicates would
-    // silently merge two tenants' SLO accounting.
-    for (std::size_t a = 0; a < c.classes.size(); ++a)
-        for (std::size_t b = a + 1; b < c.classes.size(); ++b)
-            if (c.classes[a].name == c.classes[b].name)
-                bad("serve", "duplicate class name \"" + c.classes[a].name +
-                                 "\"");
-    return c;
-}
-
-Json to_json(const serve::ServeSpec& s) {
-    Json j = Json::object();
-    j.set("arch", to_json(s.arch));
-    j.set("grid", grid_to_json({s.width, s.height}));
-    j.set("swap_seed", s.swap_seed);
-    j.set("greedy_max_gap", s.greedy_max_gap);
-    j.set("config", to_json(s.config));
-    j.set("replications", s.replications);
-    j.set("base_seed", s.base_seed);
-    return j;
-}
-
-serve::ServeSpec serve_spec_from_json(const Json& j) {
-    serve::ServeSpec s;
-    s.config = serve::default_serve_config();  // see serve_config_from_json
-    ObjectReader r(j, "serve_spec");
-    r.read_with("arch", s.arch, arch_from_json);
-    if (const Json* g = r.find("grid")) {
-        const auto [w, h] = grid_from_json(*g);
-        s.width = w;
-        s.height = h;
-    }
-    r.read("swap_seed", s.swap_seed);
-    r.read("greedy_max_gap", s.greedy_max_gap);
-    r.read_with("config", s.config, serve_config_from_json);
-    r.read("replications", s.replications);
-    r.read("base_seed", s.base_seed);
-    r.finish();
-    return s;
-}
-
-Json to_json(const ServeGridSpec& s) {
-    Json j = Json::object();
-    j.set("base", to_json(s.base));
-    Json archs = Json::array();
-    for (const auto a : s.archs) archs.push_back(to_json(a));
-    j.set("archs", std::move(archs));
-    Json loads = Json::array();
-    for (const double l : s.loads_per_mcycle) loads.push_back(l);
-    j.set("loads_per_mcycle", std::move(loads));
-    return j;
-}
-
-serve::ServeSpec ServeGridSpec::default_base() {
-    serve::ServeSpec base;
-    base.config = serve::default_serve_config();
-    return base;
-}
-
-ServeGridSpec serve_grid_spec_from_json(const Json& j) {
-    ServeGridSpec s;
-    ObjectReader r(j, "serve_grid");
-    r.read_with("base", s.base, serve_spec_from_json);
-    if (const Json* archs = r.find("archs")) {
-        s.archs.clear();
-        for (const Json& a : archs->as_array()) s.archs.push_back(arch_from_json(a));
-    }
-    if (const Json* loads = r.find("loads_per_mcycle")) {
-        s.loads_per_mcycle.clear();
-        for (const Json& l : loads->as_array())
-            s.loads_per_mcycle.push_back(l.as_double());
-    }
-    r.finish();
-    return s;
-}
-
-Json to_json(const ClusterSpec& s) {
-    Json j = Json::object();
-    j.set("base", to_json(s.base));
-    Json sizes = Json::array();
-    for (const auto k : s.cluster_sizes) sizes.push_back(k);
-    j.set("cluster_sizes", std::move(sizes));
-    Json caps = Json::array();
-    for (const auto b : s.batch_caps) caps.push_back(b);
-    j.set("batch_caps", std::move(caps));
-    Json loads = Json::array();
-    for (const double l : s.loads_per_mcycle) loads.push_back(l);
-    j.set("loads_per_mcycle", std::move(loads));
-    j.set("balance", to_json(s.balance));
-    return j;
-}
-
-ClusterSpec cluster_spec_from_json(const Json& j) {
-    ClusterSpec s;
-    ObjectReader r(j, "cluster");
-    r.read_with("base", s.base, serve_spec_from_json);
-    if (const Json* sizes = r.find("cluster_sizes")) {
-        s.cluster_sizes.clear();
-        for (const Json& k : sizes->as_array())
-            s.cluster_sizes.push_back(static_cast<std::int32_t>(k.as_int()));
-    }
-    if (const Json* caps = r.find("batch_caps")) {
-        s.batch_caps.clear();
-        for (const Json& b : caps->as_array())
-            s.batch_caps.push_back(static_cast<std::int32_t>(b.as_int()));
-    }
-    if (const Json* loads = r.find("loads_per_mcycle")) {
-        s.loads_per_mcycle.clear();
-        for (const Json& l : loads->as_array())
-            s.loads_per_mcycle.push_back(l.as_double());
-    }
-    r.read_with("balance", s.balance, balance_policy_from_json);
-    r.finish();
-    if (s.cluster_sizes.empty())
-        bad("cluster", "\"cluster_sizes\" must not be empty");
-    for (const auto k : s.cluster_sizes)
-        if (k < 1) bad("cluster", "cluster sizes must be >= 1 fabrics");
-    if (s.batch_caps.empty())
-        bad("cluster", "\"batch_caps\" must not be empty");
-    for (const auto b : s.batch_caps)
-        if (b < 1) bad("cluster", "batch caps must be >= 1");
-    if (s.loads_per_mcycle.empty())
-        bad("cluster", "\"loads_per_mcycle\" must not be empty");
-    for (const double l : s.loads_per_mcycle)
-        if (!(l > 0.0)) bad("cluster", "offered loads must be > 0");
-    return s;
-}
-
-// ---- 3D MOO specs (Figs. 6-7, M3D-vs-TSV) -----------------------------------
-
 Json to_json(noc::RoutingPolicy p) {
     switch (p) {
         case noc::RoutingPolicy::kShortestPath: return Json("shortest_path");
@@ -775,81 +718,22 @@ noc::RoutingPolicy routing_policy_from_json(const Json& j) {
                                 "\" (expected shortest_path|updown|xy)");
 }
 
-namespace {
+// ---- Name lookups -----------------------------------------------------------
 
-Json to_json(const Moo3dVariant& v) {
-    Json j = Json::object();
-    j.set("name", v.name);
-    j.set("tier_pitch_mm", v.tier_pitch_mm);
-    j.set("g_vertical_w_per_k", v.g_vertical_w_per_k);
-    return j;
-}
-
-Moo3dVariant moo3d_variant_from_json(const Json& j) {
-    Moo3dVariant v;
-    ObjectReader r(j, "variant");
-    r.read("name", v.name);
-    r.read("tier_pitch_mm", v.tier_pitch_mm);
-    r.read("g_vertical_w_per_k", v.g_vertical_w_per_k);
-    r.finish();
-    if (v.name.empty()) bad("variant", "variants need a \"name\"");
-    return v;
-}
-
-}  // namespace
-
-Json to_json(const Moo3dSpec& s) {
-    Json j = Json::object();
-    Json workloads = Json::array();
-    for (const auto& w : s.workloads) workloads.push_back(w);
-    j.set("workloads", std::move(workloads));
-    j.set("grid", grid_to_json({s.width, s.height}));
-    j.set("depth", s.depth);
-    j.set("routing", to_json(s.routing));
-    j.set("iterations", s.iterations);
-    j.set("w_perf", s.w_perf);
-    j.set("w_thermal", s.w_thermal);
-    j.set("t_target_k", s.t_target_k);
-    j.set("seed", s.seed);
-    Json variants = Json::array();
-    for (const auto& v : s.variants) variants.push_back(to_json(v));
-    j.set("variants", std::move(variants));
-    return j;
-}
-
-Moo3dSpec moo3d_spec_from_json(const Json& j) {
-    Moo3dSpec s;
-    ObjectReader r(j, "moo3d");
-    if (const Json* workloads = r.find("workloads")) {
-        for (const Json& w : workloads->as_array()) {
-            (void)workload::workload_by_id(w.as_string());  // throws on unknown id
-            s.workloads.push_back(w.as_string());
-        }
+std::pair<std::int32_t, std::int32_t> grid_from_string(const std::string& s) {
+    const std::size_t x = s.find('x');
+    if (x != std::string::npos && x > 0 && x + 1 < s.size()) {
+        const auto side = [&](std::size_t from, std::size_t to) {
+            std::int32_t v = -1;
+            const auto [p, ec] = std::from_chars(s.data() + from, s.data() + to, v);
+            return (ec == std::errc() && p == s.data() + to) ? v : -1;
+        };
+        const std::int32_t w = side(0, x);
+        const std::int32_t h = side(x + 1, s.size());
+        if (w > 0 && h > 0) return {w, h};
     }
-    if (const Json* g = r.find("grid")) {
-        const auto [w, h] = grid_from_json(*g);
-        s.width = w;
-        s.height = h;
-    }
-    r.read("depth", s.depth);
-    r.read_with("routing", s.routing, routing_policy_from_json);
-    r.read("iterations", s.iterations);
-    r.read("w_perf", s.w_perf);
-    r.read("w_thermal", s.w_thermal);
-    r.read("t_target_k", s.t_target_k);
-    r.read("seed", s.seed);
-    if (const Json* variants = r.find("variants")) {
-        for (const Json& v : variants->as_array())
-            s.variants.push_back(moo3d_variant_from_json(v));
-    }
-    r.finish();
-    if (s.workloads.empty()) bad("moo3d", "specs need \"workloads\"");
-    if (s.depth <= 0) bad("moo3d", "depth must be positive");
-    if (s.iterations < 0) bad("moo3d", "iterations must be non-negative");
-    return s;
+    throw std::invalid_argument("grid \"" + s + "\" is not \"WxH\"");
 }
-
-// ---- Transformer specs (Section IV) -----------------------------------------
 
 dnn::TransformerConfig transformer_model_from_name(const std::string& name) {
     const std::string v = ascii_lower(name);
@@ -859,124 +743,117 @@ dnn::TransformerConfig transformer_model_from_name(const std::string& name) {
                                 "\" (expected bert_tiny|bert_base)");
 }
 
-Json to_json(const core::HeteroConfig& c) {
-    Json j = Json::object();
-    j.set("macro_width", c.macro_width);
-    j.set("macro_height", c.macro_height);
-    j.set("lambda", c.lambda);
-    j.set("attention_modules", c.attention_modules);
-    j.set("params_per_chiplet_m", c.params_per_chiplet_m);
-    j.set("pitch_mm", c.pitch_mm);
-    j.set("sram_speedup", c.sram_speedup);
-    j.set("reram_write_ns_per_elem", c.reram_write_ns_per_elem);
-    return j;
+serve::ServeSpec ServeGridSpec::default_base() {
+    serve::ServeSpec base;
+    base.config = serve::default_serve_config();
+    return base;
 }
 
+// ---- Struct (de)serialization: every body is the field visitor -------------
+
+Json to_json(const noc::SimConfig& c) { return encode(c); }
+noc::SimConfig sim_config_from_json(const Json& j) {
+    return read<noc::SimConfig>(j, "sim");
+}
+
+Json to_json(const cost::CostParams& c) { return encode(c); }
+cost::CostParams cost_params_from_json(const Json& j) {
+    return read<cost::CostParams>(j, "cost");
+}
+
+Json to_json(const core::EvalConfig& c) { return encode(c); }
+core::EvalConfig eval_config_from_json(const Json& j) {
+    return read<core::EvalConfig>(j, "eval");
+}
+
+Json to_json(const workload::ConcurrentMix& m) { return encode(m); }
+workload::ConcurrentMix mix_from_json(const Json& j) {
+    return read<workload::ConcurrentMix>(j, "mix");
+}
+
+Json to_json(const core::SweepSpec& s) { return encode(s); }
+core::SweepSpec sweep_spec_from_json(const Json& j) {
+    return read<core::SweepSpec>(j, "sweep");
+}
+
+Json to_json(const core::SweepPoint& p) { return encode(p); }
+core::SweepPoint sweep_point_from_json(const Json& j) {
+    return read<core::SweepPoint>(j, "point");
+}
+Json to_json(const std::vector<core::SweepPoint>& pts) { return encode(pts); }
+std::vector<core::SweepPoint> sweep_points_from_json(const Json& j) {
+    return read<std::vector<core::SweepPoint>>(j, "points");
+}
+
+Json to_json(const core::experiment::DynamicResult& r) { return encode(r); }
+core::experiment::DynamicResult dynamic_result_from_json(const Json& j) {
+    return read<core::experiment::DynamicResult>(j, "result");
+}
+
+Json to_json(const core::SweepRow& r) { return encode(r); }
+core::SweepRow sweep_row_from_json(const Json& j) {
+    return read<core::SweepRow>(j, "row");
+}
+Json to_json(const std::vector<core::SweepRow>& rows) { return encode(rows); }
+std::vector<core::SweepRow> sweep_rows_from_json(const Json& j) {
+    return read<std::vector<core::SweepRow>>(j, "rows");
+}
+
+Json to_json(const serve::RequestClass& c) { return encode(c); }
+serve::RequestClass request_class_from_json(const Json& j) {
+    return read<serve::RequestClass>(j, "class");
+}
+
+Json to_json(const serve::ArrivalConfig& c) { return encode(c); }
+serve::ArrivalConfig arrival_config_from_json(const Json& j) {
+    return read<serve::ArrivalConfig>(j, "arrivals");
+}
+
+Json to_json(const serve::ServeConfig& c) { return encode(c); }
+serve::ServeConfig serve_config_from_json(const Json& j) {
+    return read<serve::ServeConfig>(j, "serve");
+}
+
+Json to_json(const serve::ServeSpec& s) { return encode(s); }
+serve::ServeSpec serve_spec_from_json(const Json& j) {
+    return read<serve::ServeSpec>(j, "serve_spec");
+}
+
+Json to_json(const ServeGridSpec& s) { return encode(s); }
+ServeGridSpec serve_grid_spec_from_json(const Json& j) {
+    return read<ServeGridSpec>(j, "serve_grid");
+}
+
+Json to_json(const ClusterSpec& s) { return encode(s); }
+ClusterSpec cluster_spec_from_json(const Json& j) {
+    return read<ClusterSpec>(j, "cluster");
+}
+
+Json to_json(const Moo3dSpec& s) { return encode(s); }
+Moo3dSpec moo3d_spec_from_json(const Json& j) { return read<Moo3dSpec>(j, "moo3d"); }
+
+Json to_json(const core::HeteroConfig& c) { return encode(c); }
 core::HeteroConfig hetero_config_from_json(const Json& j) {
-    core::HeteroConfig c;
-    ObjectReader r(j, "hetero");
-    r.read("macro_width", c.macro_width);
-    r.read("macro_height", c.macro_height);
-    r.read("lambda", c.lambda);
-    r.read("attention_modules", c.attention_modules);
-    r.read("params_per_chiplet_m", c.params_per_chiplet_m);
-    r.read("pitch_mm", c.pitch_mm);
-    r.read("sram_speedup", c.sram_speedup);
-    r.read("reram_write_ns_per_elem", c.reram_write_ns_per_elem);
-    r.finish();
-    return c;
+    return read<core::HeteroConfig>(j, "hetero");
 }
 
-Json to_json(const TransformerSpec& s) {
-    Json j = Json::object();
-    Json models = Json::array();
-    for (const auto& m : s.models) models.push_back(m);
-    j.set("models", std::move(models));
-    Json batches = Json::array();
-    for (const auto b : s.batches) batches.push_back(b);
-    j.set("batches", std::move(batches));
-    j.set("hetero", to_json(s.hetero));
-    return j;
-}
-
+Json to_json(const TransformerSpec& s) { return encode(s); }
 TransformerSpec transformer_spec_from_json(const Json& j) {
-    TransformerSpec s;
-    ObjectReader r(j, "transformer");
-    if (const Json* models = r.find("models")) {
-        s.models.clear();
-        for (const Json& m : models->as_array()) {
-            (void)transformer_model_from_name(m.as_string());  // validate
-            s.models.push_back(ascii_lower(m.as_string()));
-        }
-    }
-    if (const Json* batches = r.find("batches")) {
-        s.batches.clear();
-        for (const Json& b : batches->as_array()) {
-            const std::int32_t batch = to_int32(b.as_int(), "batch");
-            if (batch <= 0) bad("transformer.batches", "batches must be positive");
-            s.batches.push_back(batch);
-        }
-    }
-    r.read_with("hetero", s.hetero, hetero_config_from_json);
-    r.finish();
-    if (s.models.empty()) bad("transformer", "specs need \"models\"");
-    if (s.batches.empty()) bad("transformer", "specs need \"batches\"");
-    return s;
+    return read<TransformerSpec>(j, "transformer");
 }
 
-// ---- Scaling specs (the ablation study) -------------------------------------
-
-Json to_json(const ScalingSpec& s) {
-    Json j = Json::object();
-    Json sides = Json::array();
-    for (const auto side : s.sides) sides.push_back(side);
-    j.set("sides", std::move(sides));
-    Json archs = Json::array();
-    for (const auto a : s.archs) archs.push_back(to_json(a));
-    j.set("archs", std::move(archs));
-    Json lambdas = Json::array();
-    for (const auto l : s.lambdas) lambdas.push_back(l);
-    j.set("lambdas", std::move(lambdas));
-    j.set("eval", to_json(s.eval));
-    j.set("mix_seed", s.mix_seed);
-    j.set("swap_seed", s.swap_seed);
-    j.set("greedy_max_gap", s.greedy_max_gap);
-    j.set("run_seed", s.run_seed);
-    return j;
-}
-
+Json to_json(const ScalingSpec& s) { return encode(s); }
 ScalingSpec scaling_spec_from_json(const Json& j) {
-    ScalingSpec s;
-    ObjectReader r(j, "scaling");
-    if (const Json* sides = r.find("sides")) {
-        s.sides.clear();
-        for (const Json& side : sides->as_array()) {
-            const std::int32_t v = to_int32(side.as_int(), "side");
-            if (v <= 0) bad("scaling.sides", "sides must be positive");
-            s.sides.push_back(v);
-        }
-    }
-    if (const Json* archs = r.find("archs")) {
-        s.archs.clear();
-        for (const Json& a : archs->as_array()) s.archs.push_back(arch_from_json(a));
-    }
-    if (const Json* lambdas = r.find("lambdas")) {
-        s.lambdas.clear();
-        for (const Json& l : lambdas->as_array()) {
-            const std::int32_t v = to_int32(l.as_int(), "lambda");
-            if (v <= 0) bad("scaling.lambdas", "lambdas must be positive");
-            s.lambdas.push_back(v);
-        }
-    }
-    r.read_with("eval", s.eval, eval_config_from_json);
-    r.read("mix_seed", s.mix_seed);
-    r.read("swap_seed", s.swap_seed);
-    r.read("greedy_max_gap", s.greedy_max_gap);
-    r.read("run_seed", s.run_seed);
-    r.finish();
-    if (s.sides.empty()) bad("scaling", "specs need \"sides\"");
-    if (s.archs.empty()) bad("scaling", "specs need \"archs\"");
-    return s;
+    return read<ScalingSpec>(j, "scaling");
 }
+
+// ---- Validation ---------------------------------------------------------------
+
+void validate(const core::SweepSpec& s) { walk(s, "sweep"); }
+void validate(const ServeGridSpec& s) { walk(s, "serve_grid"); }
+void validate(const ClusterSpec& s) { walk(s, "cluster"); }
+void validate(const Moo3dSpec& s) { walk(s, "moo3d"); }
+void validate(const TransformerSpec& s) { walk(s, "transformer"); }
+void validate(const ScalingSpec& s) { walk(s, "scaling"); }
 
 }  // namespace floretsim::scenario

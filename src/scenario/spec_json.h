@@ -16,22 +16,33 @@
 
 namespace floretsim::scenario {
 
-/// JSON (de)serialization for every spec type a scenario can carry. The
-/// contract, pinned by tests/test_scenario_json.cpp:
+/// JSON (de)serialization and validation for every spec type a scenario
+/// can carry. Each spec struct lists its fields exactly once, in a
+/// `fields(visitor, spec)` function in spec_json.cpp; a writer, a strict
+/// reader and a validator walk that list, so adding a field is one line
+/// there plus one round-trip case in tests/test_scenario_json.cpp. The
+/// contract, pinned by that test file and the spec-hash goldens in
+/// tests/test_cache.cpp:
 ///
 ///   * strict round-trip: from_json(to_json(x)) == x for every spec type
-///     (to_json always emits every field; doubles at max_digits10);
+///     (to_json always emits every field in fields() order; doubles at
+///     max_digits10), and the canonical bytes are the spec_hash identity;
 ///   * partial specs are welcome: a missing key keeps the default, so
 ///     user files only state what they change (serving configs default to
 ///     serve::default_serve_config(), keeping user specs on the same
 ///     measurement scale as the documented serving numbers);
-///   * unknown keys are rejected with the offending context in the
-///     message — a typoed knob must never silently run the default sweep;
+///   * unknown keys are rejected with the offending path in the message
+///     ("spec cluster.base: unknown key ...") — a typoed knob must never
+///     silently run the default sweep;
+///   * every from_json runs the same range checks as validate() below,
+///     which the CLI --set overrides also run, so both entry points
+///     accept exactly the same specs;
 ///   * workload mixes serialize as Table II names ("WL1") whenever they
 ///     match the canonical entry, and custom mixes reference Table I
 ///     workloads by id — specs carry names, not inlined layer tables.
 ///
-/// All from_json functions throw std::invalid_argument on malformed input.
+/// All from_json and validate functions throw std::invalid_argument on
+/// malformed or out-of-range input.
 
 /// ASCII lowercase — the normalization used for enum spellings and
 /// metric-key fragments throughout the scenario layer.
@@ -261,5 +272,17 @@ struct ScalingSpec {
 
 [[nodiscard]] util::Json to_json(const ScalingSpec& s);
 [[nodiscard]] ScalingSpec scaling_spec_from_json(const util::Json& j);
+
+// ---- Validation -------------------------------------------------------------
+
+/// The range checks of one spec kind, nested structs included: the same
+/// checks its from_json runs after parsing. Throws std::invalid_argument
+/// naming the offending path ("spec cluster.base.config: ...").
+void validate(const core::SweepSpec& s);
+void validate(const ServeGridSpec& s);
+void validate(const ClusterSpec& s);
+void validate(const Moo3dSpec& s);
+void validate(const TransformerSpec& s);
+void validate(const ScalingSpec& s);
 
 }  // namespace floretsim::scenario

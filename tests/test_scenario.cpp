@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "src/core/experiment.h"
@@ -180,6 +181,98 @@ TEST(Overrides, ApplyToClusterSpecs) {
                  std::invalid_argument);
 }
 
+TEST(Overrides, RejectTheRangesSpecFilesReject) {
+    // --set runs the same validate() as spec-file parsing: a value a spec
+    // file may not hold is rejected, and the spec is left untouched.
+    for (const char* name : {"cluster", "serving"}) {
+        SpecVariant spec = Registry::builtin().at(name).spec;
+        const SpecVariant before = spec;
+        for (const auto& [key, value] :
+             std::vector<std::pair<const char*, const char*>>{
+                 {"replications", "0"},
+                 {"max_requests", "-5"},
+                 {"max_requests", "0"},
+                 {"loads", "-1"},
+                 {"traffic_scale", "2"},
+                 {"max_cycles", "0"},
+                 {"injection_rate", "0"}}) {
+            try {
+                (void)apply_override(spec, key, value);
+                ADD_FAILURE() << name << ": accepted " << key << "=" << value;
+            } catch (const std::invalid_argument& e) {
+                const std::string prefix =
+                    std::string("--set ") + key + "=" + value + ": ";
+                EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u) << e.what();
+            }
+            EXPECT_EQ(spec == before, true) << name << ": " << key << " leaked";
+        }
+    }
+    // int32 lists reject values that do not fit rather than wrapping them.
+    SpecVariant cluster = Registry::builtin().at("cluster").spec;
+    EXPECT_THROW((void)apply_override(cluster, "fabrics", "4294967297"),
+                 std::invalid_argument);
+    EXPECT_THROW((void)apply_override(cluster, "max_batch", "4294967297"),
+                 std::invalid_argument);
+    SpecVariant moo = Registry::builtin().at("fig6").spec;
+    EXPECT_THROW((void)apply_override(moo, "iterations", "-1"), std::invalid_argument);
+    EXPECT_THROW((void)apply_override(moo, "workloads", "DNN99"), std::invalid_argument);
+    SpecVariant transformer = Registry::builtin().at("hetero_transformer").spec;
+    EXPECT_THROW((void)apply_override(transformer, "models", "gpt"),
+                 std::invalid_argument);
+    EXPECT_TRUE(apply_override(transformer, "models", "BERT_TINY"));
+    EXPECT_EQ(std::get<TransformerSpec>(transformer).models,
+              std::vector<std::string>{"bert_tiny"});
+}
+
+TEST(Overrides, HelpListsExactlyTheKeysThatApply) {
+    // The documented key list is pinned, every key in it lands on at
+    // least one builtin scenario, and the unknown-key error lists it.
+    const std::string help = override_keys_help();
+    EXPECT_EQ(help,
+              "grid, grids, archs, mixes, traffic_scale, max_cycles, "
+              "injection_rate, sim_core, swap_seed, greedy_max_gap, seed, "
+              "max_requests, replications, loads, fabrics, max_batch, balance, "
+              "iterations, workloads, models, batches, sides, lambdas");
+    const std::map<std::string, std::string> sample{
+        {"grid", "8x8"},          {"grids", "8x8"},
+        {"archs", "floret"},      {"mixes", "WL1"},
+        {"traffic_scale", "1/128"}, {"max_cycles", "1000000"},
+        {"injection_rate", "1"},  {"sim_core", "reference"},
+        {"swap_seed", "3"},       {"greedy_max_gap", "2"},
+        {"seed", "5"},            {"max_requests", "10"},
+        {"replications", "1"},    {"loads", "100"},
+        {"fabrics", "1"},         {"max_batch", "1"},
+        {"balance", "least-loaded"}, {"iterations", "10"},
+        {"workloads", "DNN1"},    {"models", "bert_tiny"},
+        {"batches", "1"},         {"sides", "6"},
+        {"lambdas", "2"},
+    };
+    const auto keys = split_csv(help);
+    std::size_t listed = 0;
+    for (std::string key : keys) {
+        key.erase(0, key.find_first_not_of(' '));
+        ++listed;
+        ASSERT_TRUE(sample.contains(key)) << "no sample value for " << key;
+        bool applied = false;
+        for (const auto& s : Registry::builtin().scenarios()) {
+            SpecVariant spec = s.spec;
+            applied = apply_override(spec, key, sample.at(key)) || applied;
+        }
+        EXPECT_TRUE(applied) << key << " applies to no builtin scenario";
+    }
+    EXPECT_EQ(listed, sample.size());
+
+    SpecVariant spec = Registry::builtin().at("fig3").spec;
+    try {
+        (void)apply_override(spec, "gird", "8x8");
+        FAIL() << "unknown key accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("(supported: " + help + ")"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Scenario, Fig4RunsThroughTheRegistry) {
     // fig4 is mapping-only (no NoC simulation), so it is cheap enough to
     // execute end to end in a unit test: report function + engine + JSON.
@@ -268,6 +361,36 @@ TEST_F(ScenarioFile, RejectsBadFiles) {
     EXPECT_THROW((void)load_scenario_file("/nonexistent/path.json",
                                           Registry::builtin()),
                  std::runtime_error);
+}
+
+TEST_F(ScenarioFile, RejectsTheRangesOverridesReject) {
+    // The JSON half of the shared validate(): values --set refuses are
+    // refused in a spec file too, with the offending path named.
+    for (const char* text :
+         {R"({"scenario": "cluster", "spec": {"base": {"replications": 0}}})",
+          R"({"scenario": "cluster", "spec": {"base": {"config":
+                {"arrivals": {"max_requests": -5}}}}})",
+          R"({"scenario": "serving", "spec": {"base": {"replications": 0,
+                "config": {"arrivals": {"max_requests": -5}}}}})",
+          R"({"kind": "serve_grid", "spec": {"loads_per_mcycle": [0]}})",
+          R"({"scenario": "cluster", "spec": {"cluster_sizes": [4294967297],
+                "batch_caps": [4294967297]}})",
+          R"({"scenario": "fig3", "spec": {"evals": [{"traffic_scale": 2}]}})"}) {
+        EXPECT_THROW((void)load_scenario_file(write_file(text), Registry::builtin()),
+                     std::invalid_argument)
+            << text;
+    }
+    try {
+        (void)load_scenario_file(
+            write_file(R"({"scenario": "cluster", "spec": {"base": {"config":
+                {"arrivals": {"max_requests": -5}}}}})"),
+            Registry::builtin());
+        FAIL() << "negative max_requests accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("spec cluster.base.config.arrivals: "),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SeedHelper, PointsEverySpecKindAtTheSeed) {

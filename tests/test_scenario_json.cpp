@@ -330,6 +330,14 @@ TEST(ScenarioJson, ClusterSpecAdversarialCorpus) {
     EXPECT_THROW((void)cluster_spec_from_json(
                      json_parse(R"({"loads_per_mcycle": []})")),
                  std::invalid_argument);
+    // Values beyond int32 are rejected, never wrapped (4294967297 is not
+    // K=1 / batch 1).
+    EXPECT_THROW((void)cluster_spec_from_json(
+                     json_parse(R"({"cluster_sizes": [4294967297]})")),
+                 std::invalid_argument);
+    EXPECT_THROW((void)cluster_spec_from_json(
+                     json_parse(R"({"batch_caps": [4294967297]})")),
+                 std::invalid_argument);
     // Bad balance spelling and type mismatch.
     EXPECT_THROW((void)cluster_spec_from_json(
                      json_parse(R"({"balance": "roundrobin"})")),
@@ -367,6 +375,41 @@ TEST(ScenarioJson, ServeConfigAdversarialCorpus) {
     EXPECT_THROW((void)serve_config_from_json(
                      json_parse(R"({"max_bach": 4})")),
                  std::invalid_argument);
+}
+
+TEST(ScenarioJson, RangeChecksMatchTheOverrides) {
+    // The ranges --set enforces hold for parsed specs too.
+    for (const char* text :
+         {R"({"replications": 0})", R"({"config": {"arrivals": {"max_requests": -5}}})",
+          R"({"config": {"arrivals": {"max_requests": 0}}})",
+          R"({"config": {"eval": {"traffic_scale": 0}}})",
+          R"({"config": {"eval": {"traffic_scale": 1.5}}})",
+          R"({"config": {"eval": {"sim": {"max_cycles": 0}}}})",
+          R"({"config": {"eval": {"sim": {"injection_rate": -1}}}})"})
+        EXPECT_THROW((void)serve_spec_from_json(json_parse(text)),
+                     std::invalid_argument)
+            << text;
+    EXPECT_THROW((void)serve_grid_spec_from_json(
+                     json_parse(R"({"loads_per_mcycle": [100, -1]})")),
+                 std::invalid_argument);
+    EXPECT_THROW((void)moo3d_spec_from_json(
+                     json_parse(R"({"workloads": ["DNN1"], "iterations": -1})")),
+                 std::invalid_argument);
+    // The message names the path to the offending struct.
+    try {
+        (void)cluster_spec_from_json(
+            json_parse(R"({"base": {"config": {"max_batch": 0}}})"));
+        FAIL() << "expected max_batch rejection";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("spec cluster.base.config: "),
+                  std::string::npos)
+            << e.what();
+    }
+    // validate() is the same check, callable on a spec built in code.
+    ClusterSpec c;
+    EXPECT_NO_THROW(validate(c));
+    c.base.replications = 0;
+    EXPECT_THROW(validate(c), std::invalid_argument);
 }
 
 TEST(ScenarioJson, UnknownKeysAreRejectedAtEveryLevel) {

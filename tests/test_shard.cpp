@@ -46,13 +46,13 @@ core::SweepSpec tiny_spec() {
 
 TEST(ShardPlan, ClampWorkerThreads) {
     std::ostringstream err;
-    EXPECT_EQ(clamp_worker_threads(0, 100, err), 0);   // hardware default
-    EXPECT_EQ(clamp_worker_threads(4, 100, err), 4);   // in range
+    EXPECT_EQ(clamp_worker_threads(0, err), 0);  // hardware default
+    EXPECT_EQ(clamp_worker_threads(4, err), 4);  // in range
+    EXPECT_EQ(clamp_worker_threads(kMaxWorkerThreads, err), kMaxWorkerThreads);
     EXPECT_TRUE(err.str().empty());
-    EXPECT_EQ(clamp_worker_threads(8, 3, err), 3);     // one thread per point
+    EXPECT_EQ(clamp_worker_threads(100000, err), kMaxWorkerThreads);
     EXPECT_NE(err.str().find("clamping"), std::string::npos);
-    EXPECT_EQ(clamp_worker_threads(100000, 100000, err), kMaxWorkerThreads);
-    EXPECT_THROW((void)clamp_worker_threads(-1, 10, err), std::invalid_argument);
+    EXPECT_THROW((void)clamp_worker_threads(-1, err), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ row protocol
@@ -195,10 +195,10 @@ core::SweepRow tagged_row(std::size_t i) {
 
 /// Writes one NDJSON row file: the given global indices in the given
 /// (arbitrary) order, a heartbeat line interleaved after each row — the
-/// row and heartbeat envelopes a worker streams back.
-std::string write_row_file(const std::string& dir, std::size_t file,
+/// row and heartbeat envelopes the fleet coordinator's row file holds.
+std::string write_row_file(const std::string& dir, const std::string& name,
                            const std::vector<std::size_t>& indices) {
-    const std::string path = dir + "/rows." + std::to_string(file) + ".ndjson";
+    const std::string path = dir + "/" + name + ".ndjson";
     std::ofstream f(path);
     Heartbeat hb;
     hb.total = indices.size();
@@ -212,11 +212,10 @@ std::string write_row_file(const std::string& dir, std::size_t file,
 
 TEST(MergedStream, YieldsPointOrderHoldingOneRowAtATime) {
     TempDir tmp;
-    // 6 points split over 2 files, each in completion (not point) order,
-    // with heartbeat envelopes interleaved.
-    const auto f0 = write_row_file(tmp.path, 0, {4, 0, 2});
-    const auto f1 = write_row_file(tmp.path, 1, {5, 3, 1});
-    MergedRowFileStream stream({f0, f1}, 6);
+    // 6 points in completion (not point) order, with heartbeat envelopes
+    // interleaved.
+    const auto rows = write_row_file(tmp.path, "rows", {4, 0, 2, 5, 3, 1});
+    MergedRowFileStream stream(rows, 6);
     EXPECT_EQ(stream.size(), 6u);
     for (std::size_t i = 0; i < 6; ++i) {
         const auto row = stream.next();
@@ -231,12 +230,12 @@ TEST(MergedStream, YieldsPointOrderHoldingOneRowAtATime) {
 
 TEST(MergedStream, ReleasesItsCleanupOwnerOnDestruction) {
     TempDir tmp;
-    const auto f0 = write_row_file(tmp.path, 0, {0, 1});
+    const auto rows = write_row_file(tmp.path, "rows", {0, 1});
     bool released = false;
     {
         auto guard = std::shared_ptr<void>(
             nullptr, [&released](void*) { released = true; });
-        MergedRowFileStream stream({f0}, 2, [guard] {});
+        MergedRowFileStream stream(rows, 2, [guard] {});
         guard.reset();
         ASSERT_TRUE(stream.next().has_value());
         // Abandoned mid-iteration: the owner must still be released.
@@ -245,13 +244,30 @@ TEST(MergedStream, ReleasesItsCleanupOwnerOnDestruction) {
     EXPECT_TRUE(released);
 }
 
+TEST(MergedStream, RunsItsCleanupOnDestructionAndWhenConstructionFails) {
+    // The fleet coordinator's cleanup deletes its scratch row and point
+    // files; it must run, not merely be dropped.
+    TempDir tmp;
+    const auto rows = write_row_file(tmp.path, "rows", {0});
+    {
+        MergedRowFileStream stream(rows, 1, [rows] { std::filesystem::remove(rows); });
+        EXPECT_TRUE(std::filesystem::exists(rows)) << "deleted while in use";
+    }
+    EXPECT_FALSE(std::filesystem::exists(rows));
+    int runs = 0;
+    EXPECT_THROW(
+        MergedRowFileStream(tmp.path + "/missing.ndjson", 1, [&runs] { ++runs; }),
+        std::runtime_error);
+    EXPECT_EQ(runs, 1);
+}
+
 TEST(MergedStream, ReleasesItsCleanupOwnerWhenConstructionFails) {
     TempDir tmp;
     bool released = false;
     auto guard =
         std::shared_ptr<void>(nullptr, [&released](void*) { released = true; });
     EXPECT_THROW(MergedRowFileStream(
-                     {tmp.path + "/no-such-file.ndjson"}, 1,
+                     tmp.path + "/no-such-file.ndjson", 1,
                      [guard = std::move(guard)] {}),
                  std::runtime_error);
     EXPECT_TRUE(released) << "a failed merge leaked its scratch owner";
@@ -260,28 +276,29 @@ TEST(MergedStream, ReleasesItsCleanupOwnerWhenConstructionFails) {
 TEST(MergedStream, IndexScanRejectsBadRowFiles) {
     TempDir tmp;
     // Missing file.
-    EXPECT_THROW(MergedRowFileStream({tmp.path + "/missing"}, 1),
+    EXPECT_THROW(MergedRowFileStream(tmp.path + "/missing", 1),
                  std::runtime_error);
     // Duplicate point.
-    const auto dup = write_row_file(tmp.path, 0, {0, 0});
-    EXPECT_THROW(MergedRowFileStream({dup}, 2), std::runtime_error);
+    const auto dup = write_row_file(tmp.path, "dup", {0, 0});
+    EXPECT_THROW(MergedRowFileStream(dup, 2), std::runtime_error);
     // Out-of-range index.
-    const auto range = write_row_file(tmp.path, 1, {7});
-    EXPECT_THROW(MergedRowFileStream({range}, 2), std::runtime_error);
-    // A point no worker covered.
-    const auto gap = write_row_file(tmp.path, 2, {0});
+    const auto range = write_row_file(tmp.path, "range", {7});
+    EXPECT_THROW(MergedRowFileStream(range, 2), std::runtime_error);
+    // A point no worker covered; the error names the row file.
+    const auto gap = write_row_file(tmp.path, "gap", {0});
     try {
-        MergedRowFileStream stream({gap}, 2);
+        MergedRowFileStream stream(gap, 2);
         FAIL() << "missing point accepted";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("no worker returned a row"),
                   std::string::npos)
             << e.what();
+        EXPECT_NE(std::string(e.what()).find(gap), std::string::npos) << e.what();
     }
     // Unparseable line.
     const std::string garbled = tmp.path + "/garbled.ndjson";
     std::ofstream(garbled) << "{\"index\": 0, \"row\": \n";
-    EXPECT_THROW(MergedRowFileStream({garbled}, 1), std::runtime_error);
+    EXPECT_THROW(MergedRowFileStream(garbled, 1), std::runtime_error);
 }
 
 TEST(ShardExecutor, DescribeWaitStatusNamesExitsAndSignals) {

@@ -170,8 +170,7 @@ int run_worker(const DriverOptions& opt, const char* argv0) {
               "(sweeps and points arrive over stdin; the coordinator owns "
               "--cache-dir)");
     try {
-        const std::int32_t threads = scenario::clamp_worker_threads(
-            opt.threads, scenario::kMaxWorkerThreads, std::cerr);
+        const std::int32_t threads = scenario::clamp_worker_threads(opt.threads, std::cerr);
         core::SweepEngine engine(threads);
         const int rc = fleet::serve_worker(std::cin, std::cout, std::cerr, engine);
         if (!obs::Tracer::global().write(opt.trace_out))
